@@ -72,8 +72,11 @@ func lodBenchWorld(b *testing.B) *lodBench {
 		owner[g] = name
 		for _, m := range sh.Members() {
 			if m.Name == name {
-				p := m.Index.(*core.Oracle).Points()[local]
-				px[g], py[g] = p.P.X, p.P.Y
+				mpts, err := m.Index.(*core.Oracle).Points()
+				if err != nil {
+					b.Fatal(err)
+				}
+				px[g], py[g] = mpts[local].P.X, mpts[local].P.Y
 			}
 		}
 		pts[name] = append(pts[name], int32(g))

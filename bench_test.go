@@ -245,7 +245,10 @@ func BenchmarkNearestK(b *testing.B) {
 	w := world(b, "sf-small", exp.SFSmall)
 	o := buildSE(b, w, 0.1, core.SelectRandom)
 	rng := rand.New(rand.NewSource(8))
-	pts := o.Points()
+	pts, err := o.Points()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pts[rng.Intn(len(pts))]
@@ -273,7 +276,7 @@ func BenchmarkFig8_SizeSE(b *testing.B) {
 	w := world(b, "sf-small", exp.SFSmall)
 	o := buildSE(b, w, 0.1, core.SelectRandom)
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(float64(o.MemoryBytes()), "bytes")
+		b.ReportMetric(float64(o.SizeBytes()), "bytes")
 	}
 }
 

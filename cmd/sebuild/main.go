@@ -8,7 +8,7 @@
 //	sebuild -terrain terrain.off -pois pois.txt -out index.sedx
 //	        [-kind se|a2a|dynamic] [-eps 0.1] [-greedy] [-naive]
 //	        [-seed 1] [-check] [-workers 0] [-sites-per-edge 0] [-shards 1]
-//	        [-lod 0] [-portals-per-edge 0] [-layout flat]
+//	        [-lod 0] [-portals-per-edge 0]
 //
 // -kind=a2a indexes the terrain itself (every vertex plus per-edge Steiner
 // sites), so -pois is not required; se and dynamic index the POI file.
@@ -28,10 +28,11 @@
 // The result is one hierarchical multi container with a global id space
 // (see seserve -mem-budget for serving it larger than RAM).
 //
-// -layout=flat (se kind, sharded or not) re-lays the built index into the
-// zero-parse flat container: seserve then queries it straight from the
-// memory-mapped file with O(1) cold start (see seconvert to upgrade
-// already-written containers).
+// Every SE oracle — the se kind, each fine tile, and the oracle inside a2a
+// and dynamic containers — is written as the zero-parse flat image, which
+// seserve queries straight from the memory-mapped file with O(1) cold
+// start (see seconvert to upgrade containers written in the older decoded
+// layout).
 package main
 
 import (
@@ -63,7 +64,6 @@ func main() {
 		shards       = flag.Int("shards", 1, "se: tile the terrain into this many shards and write a multi container")
 		lod          = flag.Int("lod", 0, "se sharded: total LOD levels including the fine grid (0 or 1 = flat grid; 2+ adds coarse members and boundary portals)")
 		portalsEdge  = flag.Int("portals-per-edge", 0, "se sharded with -lod: boundary portals per shared tile edge (0 = default)")
-		layout       = flag.String("layout", "", "container layout: \"\" (decoded sections) or \"flat\" (zero-parse mmap layout; se kind)")
 	)
 	flag.Parse()
 
@@ -101,11 +101,6 @@ func main() {
 	if *lod > 1 && *shards <= 1 {
 		fatal("-lod needs -shards > 1 (one tile has no hierarchy to build)")
 	}
-	switch *layout {
-	case "", "flat":
-	default:
-		fatal("unknown -layout %q (want \"\" or \"flat\")", *layout)
-	}
 	nw := *workers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
@@ -126,7 +121,7 @@ func main() {
 				if err != nil {
 					fatal("%v", err)
 				}
-				sum, err := core.WriteSharded(fo, geodesic.NewExact(m), m, readPOIs(), *shards, lodOpt, *layout == "flat")
+				sum, err := core.WriteSharded(fo, geodesic.NewExact(m), m, readPOIs(), *shards, lodOpt, true)
 				if err != nil {
 					fatal("building sharded oracle: %v", err)
 				}
@@ -190,14 +185,6 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	if *layout == "flat" {
-		flat, err := core.ConvertFlat(idx)
-		if err != nil {
-			fatal("converting to the flat layout: %v", err)
-		}
-		idx = flat
-	}
-
 	fo, err := os.Create(*out)
 	if err != nil {
 		fatal("%v", err)
@@ -227,9 +214,8 @@ func main() {
 		elapsed.Round(time.Millisecond), b.TreeTime.Round(time.Millisecond),
 		b.EdgeTime.Round(time.Millisecond), b.PairTime.Round(time.Millisecond),
 		b.HashTime.Round(time.Millisecond), b.SSADCalls, nw)
-	// Flat indexes hold their weight in the zero-parse body (reported as
-	// mapped bytes), not the Go heap — count both so -layout=flat doesn't
-	// print a near-zero size.
+	// SE oracles hold their weight in the flat image (reported as mapped
+	// bytes), not the Go heap — count both so the size is not near zero.
 	fmt.Printf("size: %d node pairs, %.3f MB\n", st.Pairs,
 		float64(st.MemoryBytes+core.MappedBytesOf(idx))/(1<<20))
 }

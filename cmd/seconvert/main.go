@@ -1,18 +1,17 @@
-// Command seconvert rewrites an existing index container into another
-// on-disk layout without rebuilding it. Its one conversion today is
-// -layout=flat: an se container (or a multi of se shards) is re-laid into
-// the zero-parse flat layout, which seserve queries straight from the
-// memory-mapped file — O(1) cold start, no decode copies, and a smaller
-// file (cold sections are deflated). Answers are bit-identical to the
-// decoded layout's.
+// Command seconvert rewrites an index container in the current on-disk
+// layout without rebuilding it. Containers written in the older decoded se
+// layout — se containers, se members of a multi, and the oracle inside
+// a2a and dynamic containers — load as the flat image, so the rewrite
+// stores them in the zero-parse layout seserve queries straight from the
+// memory-mapped file: O(1) cold start, no decode copies, and a smaller file
+// (cold slabs are deflated). Answers are bit-identical. A container already
+// in the current layout is rewritten byte for byte.
 //
 // Usage:
 //
-//	seconvert -in oracle.sedx -out oracle.flat.sedx [-layout flat]
+//	seconvert -in oracle.sedx -out oracle.flat.sedx
 //
-// The input may be any container sebuild writes (legacy bare streams
-// included); kinds without a flat form (a2a, dynamic) are rejected. The
-// output is written atomically: to a temp file in the destination
+// The output is written atomically: to a temp file in the destination
 // directory, then renamed over -out.
 package main
 
@@ -27,17 +26,13 @@ import (
 
 func main() {
 	var (
-		in     = flag.String("in", "", "input index container (any layout)")
-		out    = flag.String("out", "", "output container path")
-		layout = flag.String("layout", "flat", "target layout (only \"flat\")")
+		in  = flag.String("in", "", "input index container (any layout)")
+		out = flag.String("out", "", "output container path")
 	)
 	flag.Parse()
 
 	if *in == "" || *out == "" {
 		fatal("need -in and -out")
-	}
-	if *layout != "flat" {
-		fatal("unknown -layout %q (want flat)", *layout)
 	}
 
 	idx, err := core.LoadFile(*in)
@@ -49,19 +44,14 @@ func main() {
 		fatal("%v", err)
 	}
 
-	flat, err := core.ConvertFlat(idx)
-	if err != nil {
-		fatal("converting %s: %v", *in, err)
-	}
-
 	tmp, err := os.CreateTemp(filepath.Dir(*out), filepath.Base(*out)+".tmp*")
 	if err != nil {
 		fatal("%v", err)
 	}
-	if err := flat.EncodeTo(tmp); err != nil {
+	if err := idx.EncodeTo(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		fatal("writing flat container: %v", err)
+		fatal("writing container: %v", err)
 	}
 	outSize, err := tmp.Seek(0, 1)
 	if err == nil {
@@ -75,9 +65,9 @@ func main() {
 		fatal("writing %s: %v", *out, err)
 	}
 
-	st := flat.Stats()
-	fmt.Printf("converted: kind=%s -> flat, %d points, eps=%g -> %s\n",
-		idx.Stats().Kind, st.Points, st.Epsilon, *out)
+	st := idx.Stats()
+	fmt.Printf("converted: kind=%s, %d points, eps=%g -> %s\n",
+		st.Kind, st.Points, st.Epsilon, *out)
 	fmt.Printf("size: %d -> %d bytes (%.1f%%), %.1f B/point\n",
 		inStat.Size(), outSize, 100*float64(outSize)/float64(inStat.Size()),
 		float64(outSize)/float64(max(st.Points, 1)))

@@ -1,5 +1,5 @@
-// Command sequery loads a serialized index container of any kind (se, a2a,
-// dynamic — or a legacy bare oracle stream) and answers distance queries:
+// Command sequery loads a serialized index container of any kind (flat se,
+// a2a, dynamic, multi — or the older decoded se layout) and answers distance queries:
 // from the command line by endpoint id or planar coordinates, as a batch
 // from stdin ("s t" id pairs, one per line), or as an in-process throughput
 // benchmark over random pairs. With -path it reports the surface path
@@ -100,7 +100,7 @@ func main() {
 	if *naive {
 		oracle, ok := idx.(*core.Oracle)
 		if !ok {
-			fatal("-naive needs an se-kind index, this file holds %s", st.Kind)
+			fatal("-naive needs an SE oracle index, this file holds %s", st.Kind)
 		}
 		query = oracle.QueryNaive
 	}

@@ -33,8 +33,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The oracle's weight sits in its image (MappedBytes), not the Go heap
+	// (MemoryBytes); the sum is its resident size.
+	ost := oracle.Stats()
 	fmt.Printf("oracle: h=%d, %d node pairs, %.1f KB\n",
-		oracle.Height(), oracle.NumPairs(), float64(oracle.MemoryBytes())/1024)
+		oracle.Height(), oracle.NumPairs(), float64(ost.MemoryBytes+ost.MappedBytes)/1024)
 
 	// Answer a few queries and check them against the exact engine.
 	exact := seoracle.ExactDistances(mesh, pois[0], pois)

@@ -21,18 +21,18 @@ func TestEscapeCheckJoinsAnnotations(t *testing.T) {
 	}
 	var idx analysis.AnnotatedFunc
 	for _, fn := range funcs {
-		if fn.Name == "(*Table).Index" {
+		if fn.Name == "CompactSlotOf" {
 			idx = fn
 		}
 	}
 	if idx.File == "" {
-		t.Fatal("(*Table).Index is not annotated //sealint:hotpath")
+		t.Fatal("CompactSlotOf is not annotated //sealint:hotpath")
 	}
 	in := strings.Join([]string{
 		// A real escape inside the annotated range: must be reported.
 		fmt.Sprintf("%s:%d:2: key escapes to heap", idx.File, idx.StartLine+1),
 		// Compiler chatter that must not count.
-		fmt.Sprintf("%s:%d:3: t does not escape", idx.File, idx.StartLine+1),
+		fmt.Sprintf("%s:%d:3: key does not escape", idx.File, idx.StartLine+1),
 		fmt.Sprintf("%s:%d:9: inlining call to hash", idx.File, idx.StartLine),
 		// An escape outside every annotated range: must not be reported.
 		fmt.Sprintf("%s:1:1: init escapes to heap", idx.File),
@@ -49,8 +49,8 @@ func TestEscapeCheckJoinsAnnotations(t *testing.T) {
 	if len(viol) != 1 {
 		t.Fatalf("got %d violations, want 1: %v", len(viol), viol)
 	}
-	if viol[0].Func != "(*Table).Index" || viol[0].Line != idx.StartLine+1 {
-		t.Errorf("violation joined to %s line %d, want (*Table).Index line %d",
+	if viol[0].Func != "CompactSlotOf" || viol[0].Line != idx.StartLine+1 {
+		t.Errorf("violation joined to %s line %d, want CompactSlotOf line %d",
 			viol[0].Func, viol[0].Line, idx.StartLine+1)
 	}
 }

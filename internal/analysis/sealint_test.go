@@ -84,11 +84,16 @@ func TestAnnotatedFuncsListsHotPaths(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
+		"(*Oracle).checkIDs",
+		"(*Oracle).pathRow",
+		"(*Oracle).lookup",
+		"(*Oracle).nodeParentLayer",
 		"(*Oracle).Query",
+		"(*Oracle).queryPair",
+		"(*Oracle).QueryNaive",
+		"(*Oracle).productScan",
 		"(*Oracle).QueryBatch",
-		"(*FlatOracle).Query",
-		"(*Table).Index",
-		"(*Table).Lookup",
+		"CompactBucketOf",
 		"CompactSlotOf",
 	} {
 		if !byName[want] {

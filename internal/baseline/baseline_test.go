@@ -120,7 +120,7 @@ func TestSPOracleSizeScalesWithN(t *testing.T) {
 	}
 	// SE over the same 6 POIs stays comparable across terrains while the
 	// SP-Oracle grows by the vertex factor.
-	seGrowth := float64(seB.MemoryBytes()) / float64(seS.MemoryBytes())
+	seGrowth := float64(seB.SizeBytes()) / float64(seS.SizeBytes())
 	spGrowth := float64(spB.MemoryBytes()) / float64(spS.MemoryBytes())
 	if seGrowth > spGrowth {
 		t.Errorf("SE grew %vx but SP-Oracle only %vx", seGrowth, spGrowth)
@@ -212,8 +212,8 @@ func TestSEBeatsSPOracleOnSparsePOIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.MemoryBytes()*10 > sp.MemoryBytes() {
+	if se.SizeBytes()*10 > sp.MemoryBytes() {
 		t.Errorf("SE (%d B) not at least 10x smaller than SP-Oracle (%d B) with 2 POIs",
-			se.MemoryBytes(), sp.MemoryBytes())
+			se.SizeBytes(), sp.MemoryBytes())
 	}
 }

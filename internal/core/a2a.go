@@ -117,14 +117,17 @@ func BuildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions) (*Si
 		so.faceSites[he.Face] = append(so.faceSites[he.Face], ids...)
 	}
 
-	o, err := Build(eng, so.sites, opt.Options)
+	// The container carries the mesh once; the inner image embeds none.
+	o, err := buildOracle(eng, so.sites, opt.Options, m, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: building site oracle: %w", err)
 	}
 	so.oracle = o
 	// The inner oracle's point table is the site list; alias it so only one
 	// copy stays resident (decode restores the same aliasing).
-	so.sites = o.pts
+	if so.sites, err = o.Points(); err != nil {
+		return nil, err
+	}
 	return so, nil
 }
 
@@ -240,11 +243,12 @@ func (so *SiteOracle) NeighborhoodSize() int {
 // Inner exposes the underlying SE oracle (for stats and size accounting).
 func (so *SiteOracle) Inner() *Oracle { return so.oracle }
 
-// MemoryBytes reports the oracle size: the inner SE oracle plus the
-// per-face site lists. The site table itself is the inner oracle's point
-// table (one copy, counted there).
+// MemoryBytes reports the oracle size: the inner SE oracle's image (always
+// heap-resident here: built, or copied out of the container) and decoded
+// point table, plus the per-face site lists. The site table itself is the
+// inner oracle's point table (one copy, counted there).
 func (so *SiteOracle) MemoryBytes() int64 {
-	b := so.oracle.MemoryBytes()
+	b := so.oracle.MemoryBytes() + so.oracle.MappedBytes()
 	for _, fs := range so.faceSites {
 		b += 24 + int64(len(fs))*4
 	}
@@ -258,6 +262,7 @@ func (so *SiteOracle) Stats() IndexStats {
 	st := so.oracle.Stats()
 	st.Kind = KindA2A
 	st.MemoryBytes = so.MemoryBytes()
+	st.MappedBytes = 0
 	st.Sites = len(so.sites)
 	st.SitesPerEdge = so.sitesPerEdge
 	st.SiteSpacing = so.spacing
@@ -267,9 +272,10 @@ func (so *SiteOracle) Stats() IndexStats {
 }
 
 // EncodeTo writes the site oracle as a tagged container (kind "a2a"): the
-// inner oracle body, the terrain mesh, the site table, the per-face site
-// lists, and the regime thresholds. The locator and geodesic engine are
-// derived state, rebuilt on load — so loading never re-runs an SSAD.
+// inner oracle's image (whose point slab is the site table), the terrain
+// mesh, the per-face site lists, and the regime thresholds. The locator
+// and geodesic engine are derived state, rebuilt on load — so loading never
+// re-runs an SSAD.
 func (so *SiteOracle) EncodeTo(w io.Writer) error {
 	faceLen := uint64(8)
 	for _, fs := range so.faceSites {
@@ -294,9 +300,8 @@ func (so *SiteOracle) EncodeTo(w io.Writer) error {
 		return err
 	}
 	return writeContainer(w, KindA2A, []section{
-		so.oracle.bodySection(),
+		bytesSection(secFlat, so.oracle.body),
 		meshSection(secMesh, so.mesh),
-		pointsSection(secSites, so.sites),
 		faceSec,
 		bytesSection(secSiteMeta, meta.Bytes()),
 	})
@@ -305,29 +310,35 @@ func (so *SiteOracle) EncodeTo(w io.Writer) error {
 // decodeA2AContainer rebuilds a *SiteOracle from an a2a-kind section map:
 // the mesh is revalidated, the locator and exact geodesic engine are
 // rebuilt, and every site/face reference is bounds-checked before the query
-// path may trust it.
+// path may trust it. A legacy container's decoded inner body and separate
+// site table are cut into the image here.
 func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
-	if err := requireSections(secs, secOracle, secMesh, secSites, secFaceSites, secSiteMeta); err != nil {
-		return nil, err
-	}
-	obr := bytes.NewReader(secs[secOracle])
-	inner, err := decodeBody(obr)
-	if err != nil {
-		return nil, err
-	}
-	if err := expectDrained(obr, "oracle section"); err != nil {
+	if err := requireSections(secs, secMesh, secFaceSites, secSiteMeta); err != nil {
 		return nil, err
 	}
 	mesh, err := decodeMesh(secs[secMesh])
 	if err != nil {
 		return nil, fmt.Errorf("mesh section: %w", err)
 	}
-	sites, err := decodePoints(secs[secSites])
+	inner, err := innerOracle(secs, func(npoi int) ([]terrain.SurfacePoint, error) {
+		if err := requireSections(secs, secSites); err != nil {
+			return nil, err
+		}
+		sites, err := decodePoints(secs[secSites])
+		if err != nil {
+			return nil, fmt.Errorf("site section: %w", err)
+		}
+		if len(sites) != npoi {
+			return nil, fmt.Errorf("site table holds %d sites for an oracle over %d", len(sites), npoi)
+		}
+		return sites, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("site section: %w", err)
+		return nil, err
 	}
-	if len(sites) != inner.npoi {
-		return nil, fmt.Errorf("site table holds %d sites for an oracle over %d", len(sites), inner.npoi)
+	sites, err := inner.Points()
+	if err != nil {
+		return nil, err
 	}
 	fr := bytes.NewReader(secs[secFaceSites])
 	var nfaces int64
@@ -373,14 +384,11 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 			return nil, fmt.Errorf("site %d: %w", i, err)
 		}
 	}
-	// The sites are the inner oracle's POIs; share the table so Nearest and
-	// memory accounting behave identically to a freshly built oracle.
-	inner.pts = sites
 	eng := geodesic.NewExact(mesh)
 	// The inner oracle shares the site oracle's mesh and engine so
 	// QueryPath works after a load exactly as on a freshly built oracle
-	// (the a2a container carries one mesh; the inner body stays mesh-free).
-	inner.mesh = mesh
+	// (the a2a container carries one mesh; the inner image embeds none).
+	inner.adopted = mesh
 	inner.peng = eng
 	so := &SiteOracle{
 		oracle:         inner,
@@ -394,4 +402,23 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 		sitesPerEdge:   int(per),
 	}
 	return so, nil
+}
+
+// innerOracle opens the SE oracle an a2a or dynamic container wraps: its
+// image section, copied to the heap (kind decoders receive no mapping owner
+// to keep alive, and the wrapper decodes its other sections anyway), or a
+// legacy decoded body cut into the image once legacyPts supplies the point
+// table the body never carried.
+func innerOracle(secs map[uint32][]byte, legacyPts func(npoi int) ([]terrain.SurfacePoint, error)) (*Oracle, error) {
+	if body, ok := secs[secFlat]; ok {
+		return decodeFlatBody(bytes.Clone(body), nil)
+	}
+	st, err := decodeLegacyBody(secs)
+	if err != nil {
+		return nil, err
+	}
+	if st.pts, err = legacyPts(len(st.tree.leaf)); err != nil {
+		return nil, err
+	}
+	return st.image(nil)
 }

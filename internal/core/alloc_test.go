@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
-// The query fast path must not touch the allocator: pathOf indexes the
-// precomputed slab and lookup probes the flat hash, so a successful Query is
+// The query fast path must not touch the allocator: pathRow slices the
+// paths slab and lookup probes the slot slab, so a successful Query is
 // allocation-free. Enforced here rather than only observed in benchmarks —
 // and after a QueryPath has run, so the path machinery (segment cache, lazy
 // engine) provably never leaks allocations into the distance path.
@@ -115,37 +115,41 @@ func TestSelfQueryFastPath(t *testing.T) {
 	}
 }
 
-// The precomputed path slab must agree with a parent-pointer walk — on a
-// freshly built oracle and on one rebuilt by Decode, whose slab is
-// recomputed from the deserialized tree.
+// The image's paths slab (the A_s arrays of §3.4) must agree with a
+// parent-pointer walk of the construction tree it was cut from — both on
+// the built oracle and on one loaded back from its container.
 func TestPathSlabMatchesParentWalk(t *testing.T) {
 	w := newTestWorld(t, 13, 28, 107)
-	built := w.build(t, Options{Epsilon: 0.2, Seed: 109})
-	var buf bytes.Buffer
-	if err := built.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := Decode(&buf)
+	st, _, err := buildState(w.eng, w.pois, Options{Epsilon: 0.2, Seed: 109})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, o := range map[string]*Oracle{"built": built, "decoded": decoded} {
+	built, err := st.image(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadBytes(encodeIndex(t, built), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layerN := int(st.tree.height) + 1
+	for name, o := range map[string]*Oracle{"built": built, "loaded": loaded.(*Oracle)} {
 		for p := int32(0); p < int32(o.NumPOIs()); p++ {
 			// Independent reference: walk leaf-to-root parent pointers.
-			want := make([]int32, o.layerN)
+			want := make([]int32, layerN)
 			for i := range want {
 				want[i] = -1
 			}
-			for n := o.tree.leaf[p]; n >= 0; n = o.tree.nodes[n].parent {
-				want[o.tree.nodes[n].layer] = n
+			for n := st.tree.leaf[p]; n >= 0; n = st.tree.nodes[n].parent {
+				want[st.tree.nodes[n].layer] = n
 			}
-			got := o.pathOf(p)
-			if len(got) != len(want) {
-				t.Fatalf("%s POI %d: slab row has %d layers, want %d", name, p, len(got), len(want))
+			row := o.pathRow(p)
+			if len(row) != 4*len(want) {
+				t.Fatalf("%s POI %d: slab row has %d bytes, want %d layers", name, p, len(row), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s POI %d layer %d: slab %d, walk %d", name, p, i, got[i], want[i])
+				if got := int32(binary.LittleEndian.Uint32(row[i*4:])); got != want[i] {
+					t.Fatalf("%s POI %d layer %d: slab %d, walk %d", name, p, i, got, want[i])
 				}
 			}
 		}

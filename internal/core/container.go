@@ -43,15 +43,15 @@ const (
 // Section ids. The id space is shared across kinds; each kind's decoder
 // demands the sections it needs and ignores the rest.
 const (
-	secOracle    uint32 = 1  // SE oracle body (tree + pairs), the legacy stream sans magic
-	secPoints    uint32 = 2  // indexed POI surface points (for /v1/nearest)
+	secOracle    uint32 = 1  // legacy decoded SE oracle body (tree + pairs); read-only, see legacy.go
+	secPoints    uint32 = 2  // indexed POI surface points of a legacy se container
 	secMesh      uint32 = 3  // terrain mesh: vertices + faces
-	secSites     uint32 = 4  // site surface points (KindA2A)
+	secSites     uint32 = 4  // site surface points of a legacy a2a container (now the flat body's point slab)
 	secFaceSites uint32 = 5  // per-face site id lists (KindA2A)
 	secSiteMeta  uint32 = 6  // local-regime threshold / spacing / density (KindA2A)
 	secDynState  uint32 = 7  // dynamic oracle state: POIs, tombstones, overflow
 	secManifest  uint32 = 8  // multi-index member manifest (KindMulti)
-	secFlat      uint32 = 9  // flat zero-parse oracle body (KindFlat; see flat.go)
+	secFlat      uint32 = 9  // SE oracle image (KindFlat, and the oracle inside a2a/dynamic; see flat.go)
 	secHierarchy uint32 = 10 // per-member LOD level / parent / POI count (KindMulti; see hierarchy.go)
 	secPortals   uint32 = 11 // boundary-portal links between fine members (KindMulti; see hierarchy.go)
 
@@ -312,29 +312,25 @@ func readContainerLenient(br *bufio.Reader) (Kind, map[uint32][]byte, error, err
 }
 
 // Load reads any serialized index container and returns the concrete type
-// behind the DistanceIndex. It also accepts the legacy bare-oracle stream
-// ("SEO1") that Oracle.Encode wrote before the container format existed, so
-// previously saved SE files keep loading.
+// behind the DistanceIndex.
 func Load(r io.Reader) (DistanceIndex, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading index header: %w", err)
 	}
-	if isLegacyMagic(head) {
-		o, err := decodeLegacy(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: legacy (pre-container) oracle stream: %w", err)
-		}
-		return o, nil
-	}
 	if string(head) != containerMagic {
-		return nil, fmt.Errorf("core: bad index magic %q: not an index container (and not a legacy %q oracle stream)", head, "SEO1")
+		return nil, fmt.Errorf("core: bad index magic %q: not an index container", head)
 	}
 	kind, secs, err := readContainer(br)
 	if err != nil {
 		return nil, err
 	}
+	return decodeKind(kind, secs)
+}
+
+// decodeKind runs the registered decoder for a container kind.
+func decodeKind(kind Kind, secs map[uint32][]byte) (DistanceIndex, error) {
 	dec, ok := kindRegistry[kind]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
@@ -386,15 +382,8 @@ func LoadDegraded(r io.Reader) (DistanceIndex, []Quarantined, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: reading index header: %w", err)
 	}
-	if isLegacyMagic(head) {
-		o, err := decodeLegacy(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: legacy (pre-container) oracle stream: %w", err)
-		}
-		return o, nil, nil
-	}
 	if string(head) != containerMagic {
-		return nil, nil, fmt.Errorf("core: bad index magic %q: not an index container (and not a legacy %q oracle stream)", head, "SEO1")
+		return nil, nil, fmt.Errorf("core: bad index magic %q: not an index container", head)
 	}
 	kind, secs, crcErr, err := readContainerLenient(br)
 	if err != nil {
@@ -404,15 +393,8 @@ func LoadDegraded(r io.Reader) (DistanceIndex, []Quarantined, error) {
 		if crcErr != nil {
 			return nil, nil, crcErr
 		}
-		dec, ok := kindRegistry[kind]
-		if !ok {
-			return nil, nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
-		}
-		idx, err := dec(secs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-		}
-		return idx, nil, nil
+		idx, err := decodeKind(kind, secs)
+		return idx, nil, err
 	}
 	idx, quarantined, err := decodeMulti(secs, true, nil)
 	if err != nil {
@@ -500,7 +482,9 @@ func verifyImageCRC(data []byte) error {
 // for; its header CRC plus structural validation (flat.go) stand in. Other
 // scalar kinds decode every byte anyway, so the footer is verified as in
 // Load. A multi container skips the outer footer and applies the same rule
-// member-wise, so flat members stay O(1).
+// member-wise, so flat members stay O(1) — except under the tolerant and
+// lazy loads, which check each member's own CRC when it is decoded, so
+// damage is pinned to a member instead of served.
 func LoadBytes(data []byte, keep any) (DistanceIndex, error) {
 	idx, _, err := loadBytes(data, keep, false)
 	return idx, err
@@ -534,43 +518,40 @@ type LoadOptions struct {
 // LoadBytesOpts is LoadBytes with explicit options — the entry point for
 // budget-bounded lazy serving (seserve -mem-budget).
 func LoadBytesOpts(data []byte, keep any, opt LoadOptions) (DistanceIndex, []Quarantined, error) {
-	return loadBytesCfg(data, multiLoadConfig{keep: keep, tolerant: opt.Tolerant, budget: opt.MemBudget, lazy: opt.MemBudget > 0})
+	return loadBytesCfg(data, multiLoadConfig{keep: keep, tolerant: opt.Tolerant, verify: opt.Tolerant,
+		budget: opt.MemBudget, lazy: opt.MemBudget > 0})
 }
 
+// loadBytes is the byte-image load: a tolerant load verifies every member's
+// own CRC, since localizing damage is its purpose; a strict one leaves flat
+// members unchecksummed for an O(1) cold start.
 func loadBytes(data []byte, keep any, tolerant bool) (DistanceIndex, []Quarantined, error) {
-	return loadBytesCfg(data, multiLoadConfig{keep: keep, tolerant: tolerant})
+	return loadBytesCfg(data, multiLoadConfig{keep: keep, tolerant: tolerant, verify: tolerant})
 }
 
-// multiLoadConfig threads the byte-image load mode into decodeMulti: the
-// quarantine policy, the retained mapping owner, and the lazy member table's
-// budget.
+// multiLoadConfig threads the load mode into decodeMulti: the quarantine
+// policy, whether eagerly loaded flat members are checked against their own
+// CRC, the retained mapping owner, and the lazy member table's budget.
 type multiLoadConfig struct {
 	keep     any
 	tolerant bool
+	verify   bool
 	lazy     bool
 	budget   int64
 }
 
 func loadBytesCfg(data []byte, cfg multiLoadConfig) (DistanceIndex, []Quarantined, error) {
-	keep := cfg.keep
-	if len(data) >= 4 && isLegacyMagic(data[:4]) {
-		o, err := decodeLegacy(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: legacy (pre-container) oracle stream: %w", err)
-		}
-		return o, nil, nil
-	}
 	kind, secs, err := sliceContainer(data)
 	if err != nil {
 		return nil, nil, err
 	}
 	switch kind {
 	case KindFlat:
-		f, err := decodeFlatSecs(secs, keep)
+		o, err := decodeFlatSecs(secs, cfg.keep)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
 		}
-		return f, nil, nil
+		return o, nil, nil
 	case KindMulti:
 		idx, quarantined, err := decodeMultiCfg(secs, cfg)
 		if err != nil {
@@ -581,15 +562,8 @@ func loadBytesCfg(data []byte, cfg multiLoadConfig) (DistanceIndex, []Quarantine
 		if err := verifyImageCRC(data); err != nil {
 			return nil, nil, err
 		}
-		dec, ok := kindRegistry[kind]
-		if !ok {
-			return nil, nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
-		}
-		idx, err := dec(secs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-		}
-		return idx, nil, nil
+		idx, err := decodeKind(kind, secs)
+		return idx, nil, err
 	}
 }
 

@@ -42,7 +42,7 @@ func TestContainerRoundTripSE(t *testing.T) {
 	if !ok {
 		t.Fatalf("Load returned %T, want *Oracle", idx)
 	}
-	if st := o2.Stats(); st.Kind != KindSE || st.Points != len(w.pois) {
+	if st := o2.Stats(); st.Kind != KindFlat || st.Points != len(w.pois) {
 		t.Fatalf("loaded stats %+v", st)
 	}
 	for s := range w.pois {
@@ -213,58 +213,32 @@ func TestContainerRoundTripDynamic(t *testing.T) {
 	}
 }
 
-// TestLegacyStreamStillLoads: PR-2-era bare oracle streams (Oracle.Encode)
-// keep loading through Load, LoadOracle-style Decode, and produce an
-// equivalent oracle — minus the point table, which legacy streams never
-// carried.
-func TestLegacyStreamStillLoads(t *testing.T) {
-	w := newTestWorld(t, 9, 12, 931)
-	o := w.build(t, Options{Epsilon: 0.2, Seed: 932})
-	var legacy bytes.Buffer
-	if err := o.Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := Load(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatalf("Load(legacy): %v", err)
-	}
-	o2, ok := idx.(*Oracle)
-	if !ok {
-		t.Fatalf("Load returned %T", idx)
-	}
-	for s := 0; s < len(w.pois); s += 3 {
-		a, _ := o.Query(int32(s), 0)
-		b, _ := o2.Query(int32(s), 0)
-		if a != b {
-			t.Fatalf("legacy parity (%d,0): %v vs %v", s, a, b)
-		}
-	}
-	if o2.Points() != nil {
-		t.Error("legacy stream should carry no point table")
-	}
-	if _, _, _, err := o2.Nearest(0, 0); err == nil {
-		t.Error("Nearest should fail without a point table")
-	}
-	// Decode (the deprecated shim) accepts both envelopes.
-	if _, err := Decode(bytes.NewReader(legacy.Bytes())); err != nil {
-		t.Errorf("Decode(legacy): %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(encodeIndex(t, o))); err != nil {
-		t.Errorf("Decode(container): %v", err)
-	}
-}
-
-// TestDecodeRejectsWrongKind: Decode is the SE-typed loader; handing it an
-// a2a container must fail with a kind message, not a panic or a wrong type.
+// TestDecodeRejectsWrongKind: re-framing a container's sections under
+// another kind tag (with a valid CRC) must fail with a section error — not
+// a panic, and not a silently different index.
 func TestDecodeRejectsWrongKind(t *testing.T) {
 	w := newTestWorld(t, 9, 8, 941)
 	so, err := BuildSiteOracle(w.eng, w.mesh, SiteOptions{Options: Options{Epsilon: 0.3, Seed: 942}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Decode(bytes.NewReader(encodeIndex(t, so)))
-	if err == nil || !strings.Contains(err.Error(), "a2a") {
-		t.Fatalf("Decode(a2a container) = %v, want kind error", err)
+	_, secs, err := sliceContainer(encodeIndex(t, so))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var framed []section
+	for _, id := range []uint32{secFlat, secMesh, secFaceSites, secSiteMeta} {
+		framed = append(framed, bytesSection(id, secs[id]))
+	}
+	for _, kind := range []Kind{KindSE, KindFlat, KindDynamic} {
+		var buf bytes.Buffer
+		if err := writeContainer(&buf, kind, framed); err != nil {
+			t.Fatal(err)
+		}
+		idx, err := Load(bytes.NewReader(buf.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "section") {
+			t.Errorf("a2a sections under kind %s: (%T, %v), want a section error", kind, idx, err)
+		}
 	}
 }
 
@@ -296,7 +270,7 @@ func TestContainerRejectsCorruption(t *testing.T) {
 		// Re-frame the SE sections under the a2a kind tag (with a valid
 		// CRC): the a2a decoder must reject the missing sections.
 		var buf bytes.Buffer
-		if err := writeContainer(&buf, KindA2A, []section{o.bodySection()}); err != nil {
+		if err := writeContainer(&buf, KindA2A, []section{bytesSection(secFlat, o.body)}); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Load(bytes.NewReader(buf.Bytes()))

@@ -105,8 +105,8 @@ func TestLoadDegradedQuarantinesCorruptMember(t *testing.T) {
 	if q.Err == nil {
 		t.Error("quarantined member carries no error")
 	}
-	if q.Kind != KindSE {
-		t.Errorf("quarantined member kind %v, want %v", q.Kind, KindSE)
+	if want := sh.Members()[last].Index.Stats().Kind; q.Kind != want {
+		t.Errorf("quarantined member kind %v, want the manifest's %v", q.Kind, want)
 	}
 	got, ok := idx.(*ShardedIndex)
 	if !ok {

@@ -77,7 +77,8 @@ func (d *DynamicOracle) rebuild() error {
 	if len(live) == 0 {
 		return fmt.Errorf("core: dynamic oracle has no live POIs")
 	}
-	o, err := Build(d.eng, live, d.opt)
+	// The container carries the mesh once; the base image embeds none.
+	o, err := buildOracle(d.eng, live, d.opt, d.mesh, false)
 	if err != nil {
 		return err
 	}
@@ -200,9 +201,10 @@ func (d *DynamicOracle) Live() int { return d.liveCount }
 // construction).
 func (d *DynamicOracle) Rebuilds() int { return d.rebuilds }
 
-// MemoryBytes accounts the base oracle plus overflow rows.
+// MemoryBytes accounts the base oracle (its heap-resident image included)
+// plus overflow rows.
 func (d *DynamicOracle) MemoryBytes() int64 {
-	b := d.base.MemoryBytes()
+	b := d.base.MemoryBytes() + d.base.MappedBytes()
 	for _, row := range d.overflow {
 		b += int64(len(row)) * 8
 	}
@@ -240,6 +242,7 @@ func (d *DynamicOracle) Stats() IndexStats {
 	st.Epsilon = d.opt.Epsilon
 	st.Points = d.liveCount
 	st.MemoryBytes = d.MemoryBytes()
+	st.MappedBytes = 0
 	st.Live = d.liveCount
 	st.Overflow = len(d.overflow)
 	st.Tombstones = len(d.pois) - d.liveCount
@@ -253,7 +256,7 @@ func (d *DynamicOracle) Nearest(x, y float64) (int32, terrain.SurfacePoint, floa
 }
 
 // EncodeTo writes the dynamic oracle as a tagged container (kind
-// "dynamic"): the base oracle body, the terrain mesh, and the dynamic
+// "dynamic"): the base oracle's image, the terrain mesh, and the dynamic
 // state — every POI ever inserted, the base-id map, tombstones, and the
 // exact overflow rows. Loading rebuilds the geodesic engine from the mesh,
 // so a loaded oracle supports further Insert/Delete (and the amortized
@@ -318,7 +321,7 @@ func (d *DynamicOracle) EncodeTo(w io.Writer) error {
 		return nil
 	}
 	return writeContainer(w, KindDynamic, []section{
-		d.base.bodySection(),
+		bytesSection(secFlat, d.base.body),
 		meshSection(secMesh, d.mesh),
 		{id: secDynState, length: stLen, write: writeState},
 	})
@@ -326,17 +329,10 @@ func (d *DynamicOracle) EncodeTo(w io.Writer) error {
 
 // decodeDynamicContainer rebuilds a *DynamicOracle from a dynamic-kind
 // section map, revalidating the base-id map, tombstones and overflow rows
-// against each other before the query path may trust them.
+// against each other — and the base oracle's point table against the POIs
+// the map assigns it — before the query path may trust them.
 func decodeDynamicContainer(secs map[uint32][]byte) (DistanceIndex, error) {
-	if err := requireSections(secs, secOracle, secMesh, secDynState); err != nil {
-		return nil, err
-	}
-	obr := bytes.NewReader(secs[secOracle])
-	base, err := decodeBody(obr)
-	if err != nil {
-		return nil, err
-	}
-	if err := expectDrained(obr, "oracle section"); err != nil {
+	if err := requireSections(secs, secMesh, secDynState); err != nil {
 		return nil, err
 	}
 	mesh, err := decodeMesh(secs[secMesh])
@@ -388,11 +384,53 @@ func decodeDynamicContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dynamic tombstones: %w", err)
 	}
+	// The base-id map must cover the base oracle exactly once; in base-id
+	// order, the mapped POIs are the base oracle's point table.
+	basePoints := func(npoi int) ([]terrain.SurfacePoint, error) {
+		pts := make([]terrain.SurfacePoint, npoi)
+		claimed := make([]bool, npoi)
+		mapped := 0
+		for id, bi := range baseIdx {
+			if bi == -1 {
+				continue
+			}
+			if bi < 0 || int(bi) >= npoi {
+				return nil, fmt.Errorf("POI %d maps to base id %d (of %d)", id, bi, npoi)
+			}
+			if claimed[bi] {
+				return nil, fmt.Errorf("base id %d claimed by two POIs", bi)
+			}
+			claimed[bi] = true
+			pts[bi] = pois[id]
+			mapped++
+		}
+		if mapped != npoi {
+			return nil, fmt.Errorf("base-id map covers %d of %d base POIs", mapped, npoi)
+		}
+		return pts, nil
+	}
+	base, err := innerOracle(secs, basePoints)
+	if err != nil {
+		return nil, err
+	}
+	want, err := basePoints(base.NumPOIs())
+	if err != nil {
+		return nil, err
+	}
+	got, err := base.Points()
+	if err != nil {
+		return nil, err
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return nil, fmt.Errorf("base POI %d disagrees with the POI its base id maps from", i)
+		}
+	}
 	eng := geodesic.NewExact(mesh)
 	// The base oracle shares the dynamic oracle's mesh and engine so
 	// QueryPath works after a load (the dynamic container carries one mesh;
-	// the base body stays mesh-free).
-	base.mesh = mesh
+	// the base image embeds none).
+	base.adopted = mesh
 	base.peng = eng
 	d := &DynamicOracle{
 		eng:           eng,
@@ -419,30 +457,6 @@ func decodeDynamicContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	if d.liveCount == 0 {
 		return nil, fmt.Errorf("dynamic oracle has no live POIs")
 	}
-	// The base-id map must cover the base oracle exactly once; rebuilding
-	// it also recovers the base oracle's point table (its POIs are the
-	// mapped subset, in base-id order).
-	basePts := make([]terrain.SurfacePoint, base.NumPOIs())
-	claimed := make([]bool, base.NumPOIs())
-	mapped := 0
-	for id, bi := range baseIdx {
-		if bi == -1 {
-			continue
-		}
-		if bi < 0 || int(bi) >= base.NumPOIs() {
-			return nil, fmt.Errorf("POI %d maps to base id %d (of %d)", id, bi, base.NumPOIs())
-		}
-		if claimed[bi] {
-			return nil, fmt.Errorf("base id %d claimed by two POIs", bi)
-		}
-		claimed[bi] = true
-		basePts[bi] = pois[id]
-		mapped++
-	}
-	if mapped != base.NumPOIs() {
-		return nil, fmt.Errorf("base-id map covers %d of %d base POIs", mapped, base.NumPOIs())
-	}
-	base.pts = basePts
 	var nOverflow int64
 	if err := get(&nOverflow); err != nil {
 		return nil, fmt.Errorf("overflow header: %w", err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"seoracle/internal/gen"
@@ -55,12 +57,12 @@ func TestOracleInvariantsAcrossSeeds(t *testing.T) {
 }
 
 // FuzzDecode feeds arbitrary bytes to the index deserializer: every
-// envelope (legacy bare stream and tagged container of every kind) must be
-// rejected or accepted without panicking or over-allocating — kind
-// confusion, truncated sections, bad CRCs and oversized section headers
-// are all errors — and any stream Load accepts must survive an
-// encode/load round trip (the serialization is canonical: logical content
-// in, deterministic bytes out).
+// container kind — current, and the legacy decoded se layout committed
+// under testdata/legacy — must be rejected or accepted without panicking
+// or over-allocating — kind confusion, truncated sections, bad CRCs and
+// oversized section headers are all errors — and any stream Load accepts
+// must survive an encode/load round trip (the serialization is canonical:
+// logical content in, deterministic bytes out).
 func FuzzDecode(f *testing.F) {
 	m, err := gen.Fractal(gen.FractalSpec{NX: 7, NY: 7, CellDX: 10, Amp: 12, Seed: 601})
 	if err != nil {
@@ -76,9 +78,13 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := o.Encode(&legacy); err != nil {
-		f.Fatal(err)
+	var legacy [][]byte
+	for _, name := range legacyFixtures {
+		blob, err := os.ReadFile(filepath.Join("testdata", "legacy", name+".sedx"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		legacy = append(legacy, blob)
 	}
 	var seCont bytes.Buffer
 	if err := o.EncodeTo(&seCont); err != nil {
@@ -115,24 +121,11 @@ func FuzzDecode(f *testing.F) {
 	if err := sh.EncodeTo(&multiCont); err != nil {
 		f.Fatal(err)
 	}
-	// Flat containers: the scalar flat oracle, a multi of flat members
-	// (shared mesh hoisted), and a flat body with slab *content* flipped —
-	// the byte-path loader skips the whole-file CRC, so content damage must
-	// surface as query errors, never faults, and the fuzzer should start
-	// one mutation away from every slab.
-	var flatCont bytes.Buffer
-	if err := o.EncodeFlatTo(&flatCont); err != nil {
-		f.Fatal(err)
-	}
-	fsh, err := ConvertFlat(sh)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var flatMulti bytes.Buffer
-	if err := fsh.EncodeTo(&flatMulti); err != nil {
-		f.Fatal(err)
-	}
-	flatFlip := append([]byte(nil), flatCont.Bytes()...)
+	// A flat body with slab *content* flipped: the byte-path loader skips
+	// the whole-file CRC, so content damage must surface as query errors,
+	// never faults, and the fuzzer should start one mutation away from
+	// every slab.
+	flatFlip := append([]byte(nil), seCont.Bytes()...)
 	flatFlip[len(flatFlip)/2] ^= 0x10
 	// Hierarchical multi: a 2-level LOD container plus targeted damage to its
 	// hierarchy and portal sections — bad LOD links (self-parent), orphan
@@ -172,9 +165,9 @@ func FuzzDecode(f *testing.F) {
 		s := secs[secPortals]
 		binary.LittleEndian.PutUint32(s[8+8:], binary.LittleEndian.Uint32(s[8+8:])+1) // first link's IDA off by one
 	})
-	for _, seed := range [][]byte{legacy.Bytes(), seCont.Bytes(), a2aCont.Bytes(), dynCont.Bytes(),
-		multiCont.Bytes(), flatCont.Bytes(), flatMulti.Bytes(), flatFlip,
-		lodCont.Bytes(), selfParent, orphanChild, portalCountLie, portalIDFlip} {
+	for _, seed := range append(legacy, seCont.Bytes(), a2aCont.Bytes(), dynCont.Bytes(),
+		multiCont.Bytes(), flatFlip,
+		lodCont.Bytes(), selfParent, orphanChild, portalCountLie, portalIDFlip) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		// Kind-tag flip without CRC repair: must die at the footer check.
@@ -195,7 +188,7 @@ func FuzzDecode(f *testing.F) {
 			for _, pair := range [][2]int32{{0, 0}, {0, n - 1}, {n - 1, 1}, {-1, 0}, {0, n}} {
 				_, _ = bidx.Query(pair[0], pair[1])
 			}
-			if fo, ok := bidx.(*FlatOracle); ok && n >= 1 {
+			if fo, ok := bidx.(*Oracle); ok && n >= 1 {
 				// Walk every slab family cheaply: queryPair (paths, disp,
 				// slots), centerSequence (leaf, nodes), Nearest (the lazy
 				// point slab). Geodesic path extraction is parity-tested

@@ -393,15 +393,10 @@ func (sh *ShardedIndex) resolveGlobal(id int32) (int, int32, error) {
 }
 
 // surfacePointOf returns a member's local POI surface point, faulting lazy
-// members and inflating flat point tables as needed.
+// members and inflating point slabs as needed.
 func surfacePointOf(idx DistanceIndex, local int32) (terrain.SurfacePoint, error) {
 	switch v := idx.(type) {
 	case *Oracle:
-		if local < 0 || int(local) >= len(v.pts) {
-			return terrain.SurfacePoint{}, fmt.Errorf("core: POI id %d outside the member point table (%d points)", local, len(v.pts))
-		}
-		return v.pts[local], nil
-	case *FlatOracle:
 		pts, err := v.Points()
 		if err != nil {
 			return terrain.SurfacePoint{}, err

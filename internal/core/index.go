@@ -15,7 +15,9 @@ import (
 type Kind uint16
 
 const (
-	// KindSE is the POI-to-POI SE oracle of §3 (*Oracle).
+	// KindSE tags the legacy decoded layout of the SE oracle. Containers of
+	// this kind (and se-kind multi members) still load — as the flat
+	// *Oracle — but nothing writes them any more.
 	KindSE Kind = 1
 	// KindA2A is the arbitrary-point site oracle of Appendix C/D
 	// (*SiteOracle).
@@ -26,9 +28,9 @@ const (
 	// manifest of named members (each with a planar bbox) bundling several
 	// indexes of the other kinds into one serving unit.
 	KindMulti Kind = 4
-	// KindFlat is the zero-parse flat layout of the SE oracle
-	// (*FlatOracle): a pointer-free slab image queried in place from the
-	// loaded bytes — typically a memory mapping — with no decode pass.
+	// KindFlat is the POI-to-POI SE oracle of §3 (*Oracle): a pointer-free
+	// slab image queried in place from the loaded bytes — typically a
+	// memory mapping — with no decode pass.
 	KindFlat Kind = 5
 )
 
@@ -231,13 +233,7 @@ var (
 	_ Reachability   = (*SiteOracle)(nil)
 	_ Reachability   = (*DynamicOracle)(nil)
 	_ Reachability   = (*ShardedIndex)(nil)
-	_ DistanceIndex  = (*FlatOracle)(nil)
-	_ PathIndex      = (*FlatOracle)(nil)
-	_ NearestFinder  = (*FlatOracle)(nil)
-	_ MatrixIndex    = (*FlatOracle)(nil)
-	_ NearestKFinder = (*FlatOracle)(nil)
-	_ Reachability   = (*FlatOracle)(nil)
-	_ MappedIndex    = (*FlatOracle)(nil)
+	_ MappedIndex    = (*Oracle)(nil)
 	_ MappedIndex    = (*ShardedIndex)(nil)
 	_ PointIndex     = (*ShardedIndex)(nil)
 	_ PointPathIndex = (*ShardedIndex)(nil)

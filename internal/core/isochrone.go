@@ -61,11 +61,15 @@ func reachableScan(idx DistanceIndex, ids []int32, at func(int32) terrain.Surfac
 // Reachable returns every POI within surface distance d of POI src, in
 // ascending id order. Part of the Reachability interface.
 func (o *Oracle) Reachable(src int32, d float64) ([]Reached, error) {
+	pts, err := o.points()
+	if err != nil {
+		return nil, err
+	}
 	ids := make([]int32, o.npoi)
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	return reachableScan(o, ids, func(id int32) terrain.SurfacePoint { return o.pts[id] }, src, d)
+	return reachableScan(o, ids, func(id int32) terrain.SurfacePoint { return pts[id] }, src, d)
 }
 
 // Reachable returns every site within surface distance d of site src,

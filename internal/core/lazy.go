@@ -190,31 +190,23 @@ func (lm *lazyMember) fault() (DistanceIndex, error) {
 // validation: decode, kind check, nesting check, shared-mesh attach, and
 // the hierarchy's point-count check.
 func (lm *lazyMember) decode() (DistanceIndex, error) {
-	idx, err := loadMember(lm.payload, lm.keep)
+	// A fault already pays a decode; checking the member's CRC here means
+	// a damaged tile fails on first touch instead of serving bad answers.
+	idx, err := loadMember(lm.payload, lm.keep, true)
 	if err != nil {
 		return nil, err
 	}
 	if _, nested := idx.(*ShardedIndex); nested {
 		return nil, fmt.Errorf("member is itself a multi index (nesting unsupported)")
 	}
-	if got := idx.Stats().Kind; got != lm.kind {
+	if got := idx.Stats().Kind; got != servedKind(lm.kind) {
 		return nil, fmt.Errorf("manifest says kind %s, body holds %s", lm.kind, got)
 	}
 	shared, err := lm.rs.sharedMesh()
 	if err != nil {
 		return nil, err
 	}
-	if o, ok := idx.(*Oracle); ok && o.mesh == nil && shared != nil {
-		for j, p := range o.pts {
-			if err := checkMeshPoint(p, shared); err != nil {
-				return nil, fmt.Errorf("POI %d against the shared mesh: %w", j, err)
-			}
-		}
-		o.mesh = shared
-	}
-	if fo, ok := idx.(*FlatOracle); ok && fo.meshC == nil && shared != nil {
-		fo.adopted = shared
-	}
+	adoptShared(idx, shared)
 	if lm.expectPts >= 0 {
 		if got := idx.Stats().Points; int64(got) != lm.expectPts {
 			return nil, fmt.Errorf("hierarchy expects %d points (%d POIs + portals), body holds %d", lm.expectPts, lm.npois, got)
@@ -264,7 +256,7 @@ func (lm *lazyMember) Stats() IndexStats {
 	if e := lm.cur.Load(); e != nil {
 		return e.idx.Stats()
 	}
-	st := IndexStats{Kind: lm.kind, MappedBytes: int64(len(lm.payload))}
+	st := IndexStats{Kind: servedKind(lm.kind), MappedBytes: int64(len(lm.payload))}
 	if lm.npois > 0 {
 		st.Points = int(lm.npois)
 	}

@@ -13,8 +13,8 @@ import (
 // lodbuild.go — construction of hierarchical (LOD) multi containers and the
 // streaming tiled encoder. BuildShardedLOD extends BuildShardedSE's fine SE
 // grid with boundary portals on shared tile edges and one coarse A2A member
-// per extra level; WriteSharded streams either build (hierarchical or plain,
-// decoded or flat layout) straight into a container file one tile at a time,
+// per extra level; WriteSharded streams either build (hierarchical or plain)
+// straight into a container file one tile at a time,
 // so peak build heap stays ~one tile instead of the whole grid. Both paths
 // run the same plan and the same per-tile builds, so for identical inputs
 // the streamed container is byte-for-byte the resident EncodeTo output.
@@ -130,15 +130,10 @@ type shardPlan struct {
 
 func (pl *shardPlan) numMembers() int { return len(pl.tiles) + len(pl.coarse) }
 
-// memberIdentity returns member ordinal i's manifest identity under the given
-// fine-tile layout.
-func (pl *shardPlan) memberIdentity(i int, flat bool) (name string, kind Kind, bbox BBox2D) {
+// memberIdentity returns member ordinal i's manifest identity.
+func (pl *shardPlan) memberIdentity(i int) (name string, kind Kind, bbox BBox2D) {
 	if i < len(pl.tiles) {
-		kind = KindSE
-		if flat {
-			kind = KindFlat
-		}
-		return pl.tiles[i].name, kind, pl.tiles[i].bbox
+		return pl.tiles[i].name, KindFlat, pl.tiles[i].bbox
 	}
 	return pl.coarse[i-len(pl.tiles)].name, KindA2A, pl.terrBBox
 }
@@ -254,11 +249,12 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 }
 
 // buildMember builds member ordinal i of the plan: a fine SE tile (over real
-// POIs + portals) or a coarse site oracle.
+// POIs + portals, sharing m through the container's one mesh section) or a
+// coarse site oracle.
 func (pl *shardPlan) buildMember(eng geodesic.Engine, m *terrain.Mesh, i int, opt Options) (DistanceIndex, error) {
 	if i < len(pl.tiles) {
 		t := &pl.tiles[i]
-		o, err := Build(eng, t.pois, opt)
+		o, err := buildOracle(eng, t.pois, opt, m, false)
 		if err != nil {
 			return nil, fmt.Errorf("core: building shard %s (%d POIs): %w", t.name, len(t.pois), err)
 		}
@@ -283,7 +279,7 @@ func (pl *shardPlan) attachHier(sh *ShardedIndex) error {
 	names := make([]string, pl.numMembers())
 	ident := make([]int, pl.numMembers())
 	for i := range bboxes {
-		names[i], _, bboxes[i] = pl.memberIdentity(i, false)
+		names[i], _, bboxes[i] = pl.memberIdentity(i)
 		ident[i] = i
 	}
 	h, err := buildHierMeta(pl.levels, pl.parents, pl.npois, pl.links, bboxes)
@@ -302,7 +298,7 @@ func (pl *shardPlan) attachHier(sh *ShardedIndex) error {
 // opt.Levels-1 coarse A2A members spanning the whole terrain (long-range
 // cross-tile queries route to them; short-range straddling pairs stitch
 // through the portals — see hierarchy.go). With opt.Levels <= 1 it degrades
-// to exactly BuildShardedSE.
+// to the plain tile grid of BuildShardedSE.
 //
 // Like every build in this package the output is deterministic for any
 // opt.Workers: tile membership and portal placement are pure functions of the
@@ -319,7 +315,8 @@ func BuildShardedLOD(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.Surfac
 		workers = defaultWorkers()
 	}
 	// Split the worker budget between the member fan-out and each member's
-	// inner build phases, as BuildShardedSE does.
+	// inner build phases, so total goroutines stay ~workers instead of
+	// workers² (output is byte-identical either way).
 	innerOpt := opt.Options
 	innerOpt.Workers = workers / n
 	if innerOpt.Workers < 1 {
@@ -337,7 +334,7 @@ func BuildShardedLOD(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.Surfac
 	}
 	members := make([]ShardMember, n)
 	for i := range members {
-		name, _, bbox := pl.memberIdentity(i, false)
+		name, _, bbox := pl.memberIdentity(i)
 		members[i] = ShardMember{Name: name, BBox: bbox, Index: built[i]}
 	}
 	sh, err := NewShardedIndex(members)
@@ -366,10 +363,10 @@ type ShardedBuildSummary struct {
 // manifestSectionOf is the plan-level counterpart of
 // ShardedIndex.manifestSection: the same manifest bytes produced from member
 // identities alone, before any member exists.
-func manifestSectionOf(pl *shardPlan, flat bool) section {
+func manifestSectionOf(pl *shardPlan) section {
 	length := uint64(8)
 	for i := 0; i < pl.numMembers(); i++ {
-		name, _, _ := pl.memberIdentity(i, flat)
+		name, _, _ := pl.memberIdentity(i)
 		length += 2 + 2 + uint64(len(name)) + 32
 	}
 	return section{id: secManifest, length: length, write: func(w io.Writer) error {
@@ -377,7 +374,7 @@ func manifestSectionOf(pl *shardPlan, flat bool) section {
 			return err
 		}
 		for i := 0; i < pl.numMembers(); i++ {
-			name, kind, bbox := pl.memberIdentity(i, flat)
+			name, kind, bbox := pl.memberIdentity(i)
 			if err := binary.Write(w, binary.LittleEndian, []uint16{uint16(kind), uint16(len(name))}); err != nil {
 				return err
 			}
@@ -393,19 +390,21 @@ func manifestSectionOf(pl *shardPlan, flat bool) section {
 	}}
 }
 
-// WriteSharded builds a sharded (optionally hierarchical, optionally flat)
-// multi container and streams it straight to w, one member at a time: the
+// WriteSharded builds a sharded (optionally hierarchical) multi container
+// and streams it straight to w, one member at a time: the
 // manifest, hierarchy, portal and shared-mesh sections go out first (all are
 // functions of the plan alone), then each tile is built, encoded, written and
 // dropped before the next begins. Peak build heap is therefore ~one tile —
 // the terrain, the engine and the largest single member — instead of the
 // whole grid, while the bytes written are exactly what building the whole
-// index resident (BuildShardedLOD, ConvertFlat when flat, EncodeTo) would
-// produce.
+// index resident (BuildShardedLOD, EncodeTo) would produce.
 //
 // The tiles are built sequentially, each with the full opt.Workers
 // parallelism inside; since every member build is deterministic for any
 // worker count, the sequential schedule changes nothing but peak memory.
+//
+// Deprecated: the trailing flat argument is ignored — every SE member is
+// written in the flat layout. Pass true.
 func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt LODOptions, flat bool) (ShardedBuildSummary, error) {
 	var sum ShardedBuildSummary
 	pl, err := planSharded(m, pois, shards, opt)
@@ -429,7 +428,7 @@ func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terr
 	if err != nil {
 		return sum, err
 	}
-	if err := cw.section(manifestSectionOf(pl, flat)); err != nil {
+	if err := cw.section(manifestSectionOf(pl)); err != nil {
 		return sum, err
 	}
 	if pl.levels != nil {
@@ -451,21 +450,8 @@ func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terr
 			return sum, err
 		}
 		var buf bytes.Buffer
-		if o, ok := idx.(*Oracle); ok {
-			if flat {
-				f, ferr := flatFromOracle(o, nil, m)
-				if ferr != nil {
-					return sum, fmt.Errorf("core: converting shard %s: %w", pl.tiles[i].name, ferr)
-				}
-				err = f.EncodeTo(&buf)
-			} else {
-				err = o.encodeContainer(&buf, nil) // mesh hoisted into the shared section
-			}
-		} else {
-			err = idx.EncodeTo(&buf)
-		}
-		if err != nil {
-			name, _, _ := pl.memberIdentity(i, flat)
+		if err := idx.EncodeTo(&buf); err != nil {
+			name, _, _ := pl.memberIdentity(i)
 			return sum, fmt.Errorf("core: encoding member %q: %w", name, err)
 		}
 		if err := cw.section(bytesSection(secMemberBase+uint32(i), buf.Bytes())); err != nil {

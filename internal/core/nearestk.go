@@ -111,9 +111,14 @@ func nearestKScan(pts []terrain.SurfacePoint, skip func(int32) bool, x, y float6
 }
 
 // NearestK returns up to k POIs ordered by planar distance to (x, y), ties
-// toward the lower id. Part of the NearestKFinder interface.
+// toward the lower id. Part of the NearestKFinder interface; triggers the
+// lazy point-slab inflate.
 func (o *Oracle) NearestK(x, y float64, k int) ([]Neighbor, error) {
-	return nearestKScan(o.pts, nil, x, y, k)
+	pts, err := o.points()
+	if err != nil {
+		return nil, err
+	}
+	return nearestKScan(pts, nil, x, y, k)
 }
 
 // NearestK returns up to k sites ordered by planar distance to (x, y), ties

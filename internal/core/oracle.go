@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"seoracle/internal/geodesic"
-	"seoracle/internal/perfecthash"
 	"seoracle/internal/terrain"
 )
 
@@ -49,68 +49,154 @@ type BuildStats struct {
 	TreeTime          time.Duration // phase timings
 	EdgeTime          time.Duration
 	PairTime          time.Duration
-	HashTime          time.Duration
+	HashTime          time.Duration // perfect-hashing the pair set and laying out the image
 }
 
-// Oracle is the SE distance oracle (§3): a compressed partition tree plus a
-// perfect-hashed well-separated node-pair set. It answers ε-approximate
-// POI-to-POI geodesic distance queries in O(h) time and occupies O(nh/ε^2β)
-// space, independent of the terrain size N.
-//
-// A built (or decoded) Oracle is immutable: Query, QueryNaive,
-// CheckInvariants, Encode and every accessor only read its state, so one
-// Oracle may be shared freely across goroutines without external locking.
-// (QueryPath's geodesic-segment cache is the one internally synchronized
-// exception; see path.go.)
-type Oracle struct {
-	eps    float64
-	tree   *ctree
-	hash   *perfecthash.Table
-	keys   []uint64 // pair keys, aligned with dist
-	dist   []float64
-	npoi   int
-	stats  BuildStats
-	layerN int     // h+1, the number of layers
-	paths  []int32 // flat path slab: POI p's A_s row at [p*layerN, (p+1)*layerN)
-	// pts is the indexed POI point table. Build always records it (it backs
-	// Nearest and is serialized as the container's point section); oracles
-	// loaded from legacy streams carry none.
-	pts []terrain.SurfacePoint
+// seState is the SE oracle's construction-time form: the compressed
+// partition tree with its node radii, and the well-separated node-pair set
+// as packed keys aligned with their distances. Build produces it and checks
+// it; legacy se bodies decode into it (legacy.go). Neither serves from it:
+// both cut the flat image (flatBody) and answer queries off that.
+type seState struct {
+	eps  float64
+	tree *ctree
+	keys []uint64 // packPair(a, b) node-pair keys, aligned with dist
+	dist []float64
+	pts  []terrain.SurfacePoint // POI points, one per tree.leaf entry
+}
 
-	// mesh is the terrain the oracle was built on, retained (and serialized
-	// as the container's mesh section) so QueryPath can stitch geodesic
-	// segments after a load. Nil when the construction engine exposed no
-	// mesh or the oracle came from a pre-path stream; distance queries never
-	// touch it. peng is the path-capable geodesic engine — the construction
-	// engine when it reported paths, else built lazily from mesh under
-	// pathMu (path.go).
-	mesh     *terrain.Mesh
-	peng     geodesic.PathEngine
+// Oracle is the SE distance oracle (§3): the per-POI layer arrays A_s and a
+// perfect-hashed well-separated node-pair set, laid out as one pointer-free
+// byte image (flat.go). It answers ε-approximate POI-to-POI geodesic
+// distance queries in O(h) time and occupies O(nh/ε^2β) space, independent
+// of the terrain size N.
+//
+// The same type serves a fresh build, a streamed Load and a memory-mapped
+// LoadBytes: Query reads the fixed-stride hot slabs in place, and the point
+// table and mesh inflate lazily on the first Nearest/NearestK/QueryPath
+// call. An Oracle is immutable and safe for concurrent use; the lazy
+// inflates and QueryPath's hop cache synchronize internally.
+type Oracle struct {
+	body []byte // the secFlat section payload, retained verbatim
+	keep any    // mapping owner, referenced so a finalizer-driven munmap outlives us
+
+	eps      float64
+	npoi     int
+	layerN   int
+	nNodes   int
+	height   int
+	root     int32
+	r0       float64
+	nPairs   int
+	nSlots   int
+	nBuckets int
+	seed     uint64
+	wide     bool
+	shift    uint
+
+	leaf, paths, nodes, disp, slots []byte
+	ptsC, meshC                     []byte
+	ptsRaw, meshRaw                 int
+
+	// Lazy cold-slab state. heapExtra accumulates the decoded structures'
+	// heap cost so MemoryBytes stays truthful without synchronizing on the
+	// sync.Once internals.
+	ptsOnce   sync.Once
+	pts       []terrain.SurfacePoint
+	ptsErr    error
+	meshOnce  sync.Once
+	mesh      *terrain.Mesh
+	meshErr   error
+	heapExtra atomic.Int64
+	// adopted is a resident terrain path queries use instead of inflating
+	// the mesh slab: the construction mesh of a built oracle, or the one
+	// mesh an enclosing container (multi, a2a, dynamic) carries for all of
+	// its oracles.
+	adopted *terrain.Mesh
+
+	// build is the construction record, nil for loaded oracles (kept
+	// behind a pointer so a loaded oracle's struct stays small).
+	build *BuildStats
+
 	pathMu   sync.Mutex
-	segCache map[uint64]pathSeg // canonical POI pair -> geodesic hop segment
+	peng     geodesic.PathEngine
+	pengErr  error
+	segCache map[uint64]pathSeg
 }
 
 // Build constructs an SE oracle over the POIs of a terrain using eng as the
-// SSAD primitive.
+// SSAD primitive. When eng exposes its terrain (geodesic.Exact does), the
+// image embeds it so QueryPath survives EncodeTo → Load, and the built
+// oracle adopts it so in-process paths never re-inflate it.
 func Build(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options) (*Oracle, error) {
+	var mesh *terrain.Mesh
+	if me, ok := eng.(interface{ Mesh() *terrain.Mesh }); ok {
+		mesh = me.Mesh()
+	}
+	return buildOracle(eng, pois, opt, mesh, true)
+}
+
+// buildOracle runs the construction phases, checks the tree and pair set,
+// and cuts the flat image. mesh is the terrain the oracle answers paths on;
+// embed stores it as the image's mesh slab, which an oracle inside a
+// container that carries one mesh for all of its oracles (a multi's shared
+// mesh section, an a2a or dynamic container's mesh section) leaves out.
+func buildOracle(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options, mesh *terrain.Mesh, embed bool) (*Oracle, error) {
+	st, stats, err := buildState(eng, pois, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.check(); err != nil {
+		return nil, fmt.Errorf("core: built oracle violates its invariants: %w", err)
+	}
+	t := time.Now()
+	slab := mesh
+	if !embed {
+		slab = nil
+	}
+	o, err := st.image(slab)
+	if err != nil {
+		return nil, err
+	}
+	stats.HashTime = time.Since(t)
+	o.build = &stats
+	o.adopted = mesh
+	// The build's point table is the image's, bit for bit; keep it
+	// resident instead of inflating the slab again on first use.
+	o.ptsOnce.Do(func() {
+		o.pts = st.pts
+		o.heapExtra.Add(int64(len(st.pts)) * pointRecordSize)
+	})
+	// Hop geodesics reuse the construction engine (and its pooled scratch)
+	// when it can report paths.
+	if pe, ok := eng.(geodesic.PathEngine); ok {
+		o.peng = pe
+	}
+	return o, nil
+}
+
+// buildState runs the construction phases of §3: the partition tree and its
+// compression, the enhanced-edge index (or the naive per-pair SSADs), and
+// the well-separated node-pair set.
+func buildState(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options) (*seState, BuildStats, error) {
+	var stats BuildStats
 	if opt.Epsilon <= 0 {
-		return nil, fmt.Errorf("core: epsilon must be positive, got %g", opt.Epsilon)
+		return nil, stats, fmt.Errorf("core: epsilon must be positive, got %g", opt.Epsilon)
 	}
 	if len(pois) == 0 {
-		return nil, fmt.Errorf("core: no POIs")
+		return nil, stats, fmt.Errorf("core: no POIs")
 	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	var stats BuildStats
 	var ctr buildCounters
 
 	t0 := time.Now()
 	counting := &countingEngine{Engine: eng, calls: &ctr.ssadCalls}
 	t, err := buildPartitionTree(counting, pois, opt.Selection, opt.Seed)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	ct := compress(t)
 	stats.TreeNodes = len(t.nodes)
@@ -132,7 +218,7 @@ func Build(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options) (*Orac
 	t2 := time.Now()
 	pairs, err := generatePairs(ct, res, opt.Epsilon, &ctr)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	stats.Pairs = len(pairs)
 	stats.SSADCalls = int(ctr.ssadCalls.Load())
@@ -145,40 +231,67 @@ func Build(eng geodesic.Engine, pois []terrain.SurfacePoint, opt Options) (*Orac
 	}
 	stats.PairTime = time.Since(t2)
 
-	t3 := time.Now()
-	keys := make([]uint64, len(pairs))
-	dist := make([]float64, len(pairs))
+	st := &seState{
+		eps:  opt.Epsilon,
+		tree: ct,
+		keys: make([]uint64, len(pairs)),
+		dist: make([]float64, len(pairs)),
+		pts:  append([]terrain.SurfacePoint(nil), pois...),
+	}
 	for i, p := range pairs {
-		keys[i] = packPair(p.a, p.b)
-		dist[i] = p.dist
+		st.keys[i] = packPair(p.a, p.b)
+		st.dist[i] = p.dist
 	}
-	hash, err := perfecthash.Build(keys, opt.Seed+1)
-	if err != nil {
-		return nil, fmt.Errorf("core: hashing node pairs: %w", err)
-	}
-	stats.HashTime = time.Since(t3)
+	return st, stats, nil
+}
 
-	o := &Oracle{
-		eps:    opt.Epsilon,
-		tree:   ct,
-		hash:   hash,
-		keys:   keys,
-		dist:   dist,
-		npoi:   len(pois),
-		stats:  stats,
-		layerN: int(ct.height) + 1,
-		pts:    append([]terrain.SurfacePoint(nil), pois...),
+// check validates the properties of the construction state that the image
+// drops the data to re-check: the compressed tree's shape and the
+// well-separation of every stored pair (both need node radii). It performs
+// no SSADs. The image keeps the Theorem-1 check (Oracle.CheckInvariants).
+func (st *seState) check() error {
+	c := st.tree
+	for id, n := range c.nodes {
+		if n.parent >= 0 {
+			p := c.nodes[n.parent]
+			if p.layer >= n.layer {
+				return fmt.Errorf("node %d layer %d has parent at layer %d", id, n.layer, p.layer)
+			}
+		}
+		for _, ch := range n.children {
+			if c.nodes[ch].parent != int32(id) {
+				return fmt.Errorf("child %d of %d has parent %d", ch, id, c.nodes[ch].parent)
+			}
+		}
+		if n.layer == c.height && n.radius != 0 {
+			return fmt.Errorf("leaf %d has non-zero radius", id)
+		}
+		if len(n.children) == 1 && int32(id) != c.root {
+			return fmt.Errorf("non-root node %d has exactly one child (compression failed)", id)
+		}
 	}
-	o.buildPathSlab()
-	// Retain the path-reporting surface when the engine exposes it: the
-	// mesh is serialized with the oracle (QueryPath survives a round trip)
-	// and the engine itself is reused so hop geodesics share its pooled
-	// scratch.
-	if pe, ok := eng.(geodesic.PathEngine); ok {
-		o.peng = pe
+	sep := 2/st.eps + 2
+	for i, key := range st.keys {
+		a := int32(key >> 32)
+		b := int32(key & 0xffffffff)
+		m := math.Max(c.enlargedRadius(a), c.enlargedRadius(b))
+		if st.dist[i] < sep*m-1e-9*(1+st.dist[i]) {
+			return fmt.Errorf("pair (%d,%d) not well-separated: d=%g, need %g", a, b, st.dist[i], sep*m)
+		}
 	}
-	if me, ok := eng.(interface{ Mesh() *terrain.Mesh }); ok {
-		o.mesh = me.Mesh()
+	return nil
+}
+
+// image cuts the flat image from the construction state and opens it. mesh
+// is the terrain to embed as the cold mesh slab, or nil.
+func (st *seState) image(mesh *terrain.Mesh) (*Oracle, error) {
+	body, err := flatBody(st, mesh)
+	if err != nil {
+		return nil, err
+	}
+	o, err := decodeFlatBody(body, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: flat body failed its own validation: %w", err)
 	}
 	return o, nil
 }
@@ -203,134 +316,91 @@ func (o *Oracle) Epsilon() float64 { return o.eps }
 func (o *Oracle) NumPOIs() int { return o.npoi }
 
 // Height returns the partition-tree height h (the query cost driver).
-func (o *Oracle) Height() int { return int(o.tree.height) }
+func (o *Oracle) Height() int { return o.height }
 
 // NumPairs returns the size of the node pair set.
-func (o *Oracle) NumPairs() int { return len(o.dist) }
+func (o *Oracle) NumPairs() int { return o.nPairs }
 
-// BuildStats returns the construction statistics. (Zero for oracles loaded
-// from a serialized stream: construction happened in another process.)
-func (o *Oracle) BuildStats() BuildStats { return o.stats }
-
-// Stats reports the shared DistanceIndex observability surface.
-func (o *Oracle) Stats() IndexStats {
-	return IndexStats{
-		Kind:        KindSE,
-		Epsilon:     o.eps,
-		Points:      o.npoi,
-		Height:      int(o.tree.height),
-		Pairs:       len(o.dist),
-		MemoryBytes: o.MemoryBytes(),
-		Build:       o.stats,
+// BuildStats returns the construction statistics. (Zero for loaded
+// oracles: construction happened in another process.)
+func (o *Oracle) BuildStats() BuildStats {
+	if o.build == nil {
+		return BuildStats{}
 	}
+	return *o.build
 }
 
-// Points returns the indexed POI point table, or nil when the oracle was
-// loaded from a legacy stream that carried none. The slice aliases
-// oracle-owned memory and must be treated as read-only.
-func (o *Oracle) Points() []terrain.SurfacePoint { return o.pts }
-
-// Nearest returns the indexed POI whose x-y projection is closest to
-// (x, y). It errors when the oracle carries no point table (legacy loads).
-func (o *Oracle) Nearest(x, y float64) (int32, terrain.SurfacePoint, float64, error) {
-	return nearestScan(o.pts, nil, x, y)
-}
-
-// MemoryBytes estimates the oracle's resident size: the compressed tree, the
-// node-pair keys and distances, and the perfect-hash index. This is the
+// MemoryBytes reports the oracle's heap-resident size: the struct plus
+// whatever the lazy cold-slab decodes have materialized. The image itself
+// is counted by MappedBytes — the split /statsz reports; their sum is the
 // "oracle size" measurement of the evaluation.
 func (o *Oracle) MemoryBytes() int64 {
-	var b int64
-	b += int64(len(o.tree.nodes)) * 28 // center, layer, parent, radius, children header amortized
-	for _, n := range o.tree.nodes {
-		b += int64(len(n.children)) * 4
-	}
-	b += int64(len(o.tree.leaf)) * 4
-	b += int64(len(o.keys)) * 8
-	b += int64(len(o.dist)) * 8
-	b += int64(len(o.paths)) * 4
-	b += int64(len(o.pts)) * 32 // point table: Face, Vert int32 + 3 float64 coords
-	b += o.hash.MemoryBytes()
-	return b
+	return flatStructBytes + o.heapExtra.Load()
 }
 
-// lookup returns the distance associated with the node pair (a, b), if it is
-// in the node pair set. It fuses the hash probe with the distance fetch
-// through the single-return perfecthash.Index, so the hot path is two table
-// loads plus one distance load with no tuple-return shuffling.
-//
-//sealint:hotpath
-func (o *Oracle) lookup(a, b int32) (float64, bool) {
-	idx := o.hash.Index(packPair(a, b))
-	if idx < 0 {
-		return 0, false
+// SizeBytes reports the oracle size the paper's evaluation measures: the
+// image without its embedded terrain — the hot slabs, the perfect hash and
+// the compressed point table. It grows with the POIs, not with the terrain.
+func (o *Oracle) SizeBytes() int64 { return int64(len(o.body) - len(o.meshC)) }
+
+// MappedBytes reports how many bytes the oracle serves in place from its
+// image — the memory-mapped file when loaded through one. Part of the
+// MappedIndex interface.
+func (o *Oracle) MappedBytes() int64 { return int64(len(o.body)) }
+
+// Stats reports the shared observability surface; MappedBytes carries the
+// heap-vs-mapped split.
+func (o *Oracle) Stats() IndexStats {
+	return IndexStats{
+		Kind:        KindFlat,
+		Epsilon:     o.eps,
+		Points:      o.npoi,
+		Height:      o.height,
+		Pairs:       o.nPairs,
+		MemoryBytes: o.MemoryBytes(),
+		MappedBytes: o.MappedBytes(),
+		Build:       o.BuildStats(),
 	}
-	return o.dist[idx], true
 }
 
-// CheckInvariants validates the oracle's structural properties: the
-// separation/covering/distance properties of the tree and the
-// unique-node-pair-match property (Theorem 1) for sampled POI pairs. It is
-// used by the test suite and by `sebuild -check`.
+// EncodeTo writes the oracle as a flat container (kind "flat"): the image
+// verbatim inside a fresh envelope, so Build → EncodeTo → Load → EncodeTo
+// is byte-identical. Part of the DistanceIndex interface.
+func (o *Oracle) EncodeTo(w io.Writer) error {
+	return writeContainer(w, KindFlat, []section{bytesSection(secFlat, o.body)})
+}
+
+// Points returns the POI point table, inflating the point slab on first
+// use. The slice aliases oracle-owned memory and must be treated as
+// read-only.
+func (o *Oracle) Points() ([]terrain.SurfacePoint, error) { return o.points() }
+
+// Nearest returns the indexed POI planar-closest to (x, y). Part of the
+// NearestFinder interface; triggers the lazy point-slab inflate.
+func (o *Oracle) Nearest(x, y float64) (int32, terrain.SurfacePoint, float64, error) {
+	pts, err := o.points()
+	if err != nil {
+		return -1, terrain.SurfacePoint{}, 0, err
+	}
+	return nearestScan(pts, nil, x, y)
+}
+
+// CheckInvariants validates the unique-node-pair-match property (Theorem 1)
+// for a grid of POI pairs on the image. (The tree-shape and separation
+// checks need node radii, which the image drops; Build runs them on its
+// construction state.) Used by the test suite and by `sebuild -check`.
 func (o *Oracle) CheckInvariants() error {
-	c := o.tree
-	// Tree shape.
-	for id, n := range c.nodes {
-		if n.parent >= 0 {
-			p := c.nodes[n.parent]
-			if p.layer >= n.layer {
-				return fmt.Errorf("node %d layer %d has parent at layer %d", id, n.layer, p.layer)
-			}
-		}
-		for _, ch := range n.children {
-			if c.nodes[ch].parent != int32(id) {
-				return fmt.Errorf("child %d of %d has parent %d", ch, id, c.nodes[ch].parent)
-			}
-		}
-		if n.layer == c.height && n.radius != 0 {
-			return fmt.Errorf("leaf %d has non-zero radius", id)
-		}
-		if len(n.children) == 1 && int32(id) != c.root {
-			return fmt.Errorf("non-root node %d has exactly one child (compression failed)", id)
-		}
-	}
-	// Well-separation of every stored pair.
-	sep := 2/o.eps + 2
-	for i, key := range o.keys {
-		a := int32(key >> 32)
-		b := int32(key & 0xffffffff)
-		m := math.Max(c.enlargedRadius(a), c.enlargedRadius(b))
-		if o.dist[i] < sep*m-1e-9*(1+o.dist[i]) {
-			return fmt.Errorf("pair (%d,%d) not well-separated: d=%g, need %g", a, b, o.dist[i], sep*m)
-		}
-	}
-	// Unique node-pair match (Theorem 1) for a grid of POI pairs.
 	step := o.npoi/17 + 1
 	for s := 0; s < o.npoi; s += step {
 		for t := 0; t < o.npoi; t += step {
-			if cnt := o.countMatches(int32(s), int32(t)); cnt != 1 {
+			_, cnt, err := o.productScan(int32(s), int32(t), true)
+			if err != nil {
+				return err
+			}
+			if cnt != 1 {
 				return fmt.Errorf("POIs (%d,%d) matched by %d node pairs, want exactly 1", s, t, cnt)
 			}
 		}
 	}
 	return nil
-}
-
-// countMatches counts node pairs containing (s, t) — Theorem 1 says exactly
-// one exists.
-func (o *Oracle) countMatches(s, t int32) int {
-	as := o.pathOf(s)
-	at := o.pathOf(t)
-	cnt := 0
-	for _, a := range as {
-		for _, b := range at {
-			if a < 0 || b < 0 {
-				continue
-			}
-			if _, ok := o.lookup(a, b); ok {
-				cnt++
-			}
-		}
-	}
-	return cnt
 }

@@ -39,6 +39,16 @@ func newTestWorld(t *testing.T, nx int, npoi int, seed int64) *testWorld {
 	return w
 }
 
+// mustPoints returns an oracle's point table, failing the test on error.
+func mustPoints(t *testing.T, o *Oracle) []terrain.SurfacePoint {
+	t.Helper()
+	pts, err := o.Points()
+	if err != nil {
+		t.Fatalf("Points: %v", err)
+	}
+	return pts
+}
+
 func (w *testWorld) build(t *testing.T, opt Options) *Oracle {
 	t.Helper()
 	o, err := Build(w.eng, w.pois, opt)
@@ -180,7 +190,7 @@ func TestOracleSizeLinearInPOIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(oBig.MemoryBytes()) / float64(oSmall.MemoryBytes())
+	ratio := float64(oBig.SizeBytes()) / float64(oSmall.SizeBytes())
 	if ratio > 12 {
 		t.Errorf("3x POIs grew the oracle %vx", ratio)
 	}
@@ -236,25 +246,25 @@ func TestTwoPOIs(t *testing.T) {
 	if math.Abs(got-want)/want > 0.05 {
 		t.Errorf("two-POI distance %v, exact %v", got, want)
 	}
-	if o.MemoryBytes() > 4096 {
-		t.Errorf("two-POI oracle occupies %d bytes", o.MemoryBytes())
+	if o.SizeBytes() > 4096 {
+		t.Errorf("two-POI oracle occupies %d bytes", o.SizeBytes())
 	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	w := newTestWorld(t, 11, 24, 14)
 	o := w.build(t, Options{Epsilon: 0.2, Seed: 21})
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	o2, err := Decode(&buf)
+	idx, err := Load(bytes.NewReader(encodeIndex(t, o)))
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("Load: %v", err)
+	}
+	o2, ok := idx.(*Oracle)
+	if !ok {
+		t.Fatalf("Load returned %T, want *Oracle", idx)
 	}
 	if o2.Epsilon() != o.Epsilon() || o2.NumPOIs() != o.NumPOIs() ||
 		o2.Height() != o.Height() || o2.NumPairs() != o.NumPairs() {
-		t.Fatal("decoded oracle metadata differs")
+		t.Fatal("loaded oracle metadata differs")
 	}
 	for s := range w.pois {
 		for tt := range w.pois {
@@ -266,37 +276,39 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 	if err := o2.CheckInvariants(); err != nil {
-		t.Errorf("decoded oracle invariants: %v", err)
+		t.Errorf("loaded oracle invariants: %v", err)
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not an oracle"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not an oracle"))); err == nil {
 		t.Error("garbage decoded")
 	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
+	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty decoded")
 	}
-	// Corrupt a valid stream's magic.
+	// Corrupt a valid container's magic.
 	w := newTestWorld(t, 9, 6, 15)
-	o := w.build(t, Options{Epsilon: 0.3, Seed: 1})
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeIndex(t, w.build(t, Options{Epsilon: 0.3, Seed: 1}))
 	data[0] ^= 0xff
-	if _, err := Decode(bytes.NewReader(data)); err == nil {
+	if _, err := Load(bytes.NewReader(data)); err == nil {
 		t.Error("corrupt magic decoded")
 	}
-	data[0] ^= 0xff // restore
-	// Corrupt the header height (offset 24: magic+version+eps precede it):
-	// the O(npoi·height) path slab makes Decode itself pay for the height,
-	// so an implausible value must be rejected, not allocated.
+	// Corrupt a legacy se body's tree height (offset 16: eps and npoi
+	// precede it): the O(npoi·height) paths slab makes the image cut pay
+	// for the height, so an implausible value must be rejected by the
+	// decoder, not allocated.
+	_, secs, err := sliceContainer(readLegacyFixture(t, "se"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeBody(bytes.NewReader(secs[secOracle])); err != nil {
+		t.Fatalf("pristine legacy body rejected: %v", err)
+	}
 	for _, h := range []uint64{1 << 60, 1 << 33, ^uint64(0)} {
-		bad := append([]byte(nil), data...)
-		binary.LittleEndian.PutUint64(bad[24:], h)
-		if _, err := Decode(bytes.NewReader(bad)); err == nil {
+		bad := append([]byte(nil), secs[secOracle]...)
+		binary.LittleEndian.PutUint64(bad[16:], h)
+		if _, err := decodeBody(bytes.NewReader(bad)); err == nil {
 			t.Errorf("height %#x decoded", h)
 		}
 	}

@@ -31,18 +31,15 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 				opt := tc.opt
 				opt.Workers = workers
 				o := w.build(t, opt)
-				var buf bytes.Buffer
-				if err := o.Encode(&buf); err != nil {
-					t.Fatalf("workers=%d: Encode: %v", workers, err)
-				}
+				got := encodeIndex(t, o)
 				st := o.BuildStats()
 				if workers == 1 {
-					want = buf.Bytes()
+					want = got
 					wantStats = st
 					continue
 				}
-				if !bytes.Equal(want, buf.Bytes()) {
-					t.Errorf("workers=%d: Encode output differs from workers=1", workers)
+				if !bytes.Equal(want, got) {
+					t.Errorf("workers=%d: EncodeTo output differs from workers=1", workers)
 				}
 				if st.SSADCalls != wantStats.SSADCalls ||
 					st.Pairs != wantStats.Pairs ||
@@ -63,14 +60,10 @@ func TestGreedyBuildRepeatable(t *testing.T) {
 	w := newTestWorld(t, 13, 30, 31)
 	var first []byte
 	for i := 0; i < 3; i++ {
-		o := w.build(t, Options{Epsilon: 0.2, Seed: 33, Selection: SelectGreedy, Workers: 1})
-		var buf bytes.Buffer
-		if err := o.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
+		got := encodeIndex(t, w.build(t, Options{Epsilon: 0.2, Seed: 33, Selection: SelectGreedy, Workers: 1}))
 		if i == 0 {
-			first = buf.Bytes()
-		} else if !bytes.Equal(first, buf.Bytes()) {
+			first = got
+		} else if !bytes.Equal(first, got) {
 			t.Fatalf("run %d: greedy build differs run-to-run with a fixed seed", i)
 		}
 	}

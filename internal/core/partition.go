@@ -2,8 +2,9 @@
 // Space-Efficient distance oracle (SE). The oracle is built from a partition
 // tree over the POIs (§3.2), compressed (§3.2), decomposed into a
 // well-separated node-pair set (§3.3) whose distances are resolved through
-// enhanced edges (§3.5), and indexed with an FKS perfect hash for O(h)
-// queries (§3.4).
+// enhanced edges (§3.5), and cut into one pointer-free image — the per-POI
+// layer arrays A_s plus a CHD perfect-hashed pair table — that answers O(h)
+// queries in place (§3.4; see flat.go and query.go).
 package core
 
 import (

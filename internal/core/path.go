@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -32,28 +33,41 @@ type pathSeg struct {
 const pathSegCacheCap = 1 << 14
 
 // ErrNoPathGeometry is returned by QueryPath on indexes that carry no
-// terrain mesh (legacy streams, or constructions whose engine exposed no
-// mesh): distances still answer, but there is no geometry to stitch paths
-// from.
+// terrain mesh (constructions whose engine exposed no mesh, or multi
+// members whose container lost its shared mesh): distances still answer,
+// but there is no geometry to stitch paths from.
 var ErrNoPathGeometry = fmt.Errorf("core: index carries no terrain mesh; path queries unavailable (rebuild to embed it)")
 
-// pathEngine returns the oracle's path-capable geodesic engine, building it
-// from the retained mesh on first use.
-func (o *Oracle) pathEngine() (geodesic.PathEngine, error) {
+// pathSetup resolves the point table and the path-capable geodesic engine:
+// the construction engine of a built oracle, else an exact engine over the
+// adopted or inflated terrain, built once after every POI anchor is
+// validated against it.
+func (o *Oracle) pathSetup() (geodesic.PathEngine, []terrain.SurfacePoint, error) {
+	pts, err := o.points()
+	if err != nil {
+		return nil, nil, err
+	}
 	o.pathMu.Lock()
 	defer o.pathMu.Unlock()
-	if o.peng == nil {
-		if o.mesh == nil {
-			return nil, ErrNoPathGeometry
-		}
-		o.peng = geodesic.NewExact(o.mesh)
+	if o.peng != nil {
+		return o.peng, pts, nil
 	}
-	return o.peng, nil
+	if o.pengErr != nil {
+		return nil, nil, o.pengErr
+	}
+	m, err := o.meshRef()
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, p := range pts {
+		if err := checkMeshPoint(p, m); err != nil {
+			o.pengErr = fmt.Errorf("core: POI %d against the mesh: %w", i, err)
+			return nil, nil, o.pengErr
+		}
+	}
+	o.peng = geodesic.NewExact(m)
+	return o.peng, pts, nil
 }
-
-// Mesh returns the terrain the oracle retains for path queries, or nil for
-// distance-only oracles (legacy streams, mesh-less engines).
-func (o *Oracle) Mesh() *terrain.Mesh { return o.mesh }
 
 // QueryPath returns the ε-approximate highway path between POIs s and t:
 // the polyline runs s → (center chain of the matched node O) → (pair
@@ -64,18 +78,19 @@ func (o *Oracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) 
 	if err := o.checkIDs(s, t); err != nil {
 		return nil, 0, err
 	}
-	if o.pts == nil {
-		return nil, 0, fmt.Errorf("core: oracle carries no point table (legacy stream?): %w", ErrNoPathGeometry)
-	}
 	if s == t {
-		p := o.pts[s]
+		pts, err := o.points()
+		if err != nil {
+			return nil, 0, err
+		}
+		p := pts[s]
 		return []terrain.SurfacePoint{p, p}, 0, nil
 	}
 	_, na, nb, err := o.queryPair(s, t)
 	if err != nil {
 		return nil, 0, err
 	}
-	eng, err := o.pathEngine()
+	eng, pts, err := o.pathSetup()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -86,7 +101,7 @@ func (o *Oracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) 
 	var path []terrain.SurfacePoint
 	total := 0.0
 	for i := 1; i < len(seq); i++ {
-		seg, segLen, err := o.hopSegment(eng, seq[i-1], seq[i])
+		seg, segLen, err := o.hopSegment(eng, pts, seq[i-1], seq[i])
 		if err != nil {
 			return nil, 0, err
 		}
@@ -106,7 +121,7 @@ func (o *Oracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) 
 // chain up to node na, then nb's chain down to t, with coincident
 // neighbors collapsed (the leaf's center is the POI itself, and a matched
 // node's center can equal the query POI).
-func (o *Oracle) centerSequence(s, t, na, nb int32) ([]int32, error) {
+func (o *Oracle) centerSequence(s, t int32, na, nb uint32) ([]int32, error) {
 	seq := make([]int32, 0, 2*o.layerN)
 	seq, err := o.appendCenterChain(seq, s, na)
 	if err != nil {
@@ -128,17 +143,29 @@ func (o *Oracle) centerSequence(s, t, na, nb int32) ([]int32, error) {
 // appendCenterChain appends the centers on POI p's leaf-to-node path
 // (starting with p itself, ending with node's center, consecutive
 // duplicates collapsed). node must be an ancestor of p's leaf — queryPair
-// guarantees it for matched pairs.
-func (o *Oracle) appendCenterChain(seq []int32, p, node int32) ([]int32, error) {
+// guarantees it for matched pairs. Every hop through the leaf and nodes
+// slabs is bounds-guarded, and the walk's length is bounded, so a corrupt
+// parent cycle terminates with an error instead of spinning.
+func (o *Oracle) appendCenterChain(seq []int32, p int32, node uint32) ([]int32, error) {
 	seq = appendPOI(seq, p)
-	for n := o.tree.leaf[p]; ; n = o.tree.nodes[n].parent {
-		if n < 0 {
+	n := binary.LittleEndian.Uint32(o.leaf[int(p)*4:])
+	for steps := 0; ; steps++ {
+		if n == flatNone32 {
 			return nil, fmt.Errorf("core: node %d is not an ancestor of POI %d's leaf; oracle corrupt", node, p)
 		}
-		seq = appendPOI(seq, o.tree.nodes[n].center)
+		if n >= uint32(o.nNodes) || steps > o.nNodes {
+			return nil, o.errFlatCorrupt("chain node", n)
+		}
+		rec := o.nodes[int(n)*flatNodeStride:]
+		center := binary.LittleEndian.Uint32(rec)
+		if center >= uint32(o.npoi) {
+			return nil, fmt.Errorf("core: flat container corrupt: node %d center %d out of range [0,%d)", n, center, o.npoi)
+		}
+		seq = appendPOI(seq, int32(center))
 		if n == node {
 			return seq, nil
 		}
+		n = binary.LittleEndian.Uint32(rec[4:])
 	}
 }
 
@@ -154,7 +181,7 @@ func appendPOI(seq []int32, p int32) []int32 {
 // slice is oriented u → v and safe for the caller to copy from (reversed
 // hops are rebuilt from the cached canonical polyline; reversal preserves
 // the length).
-func (o *Oracle) hopSegment(eng geodesic.PathEngine, u, v int32) ([]terrain.SurfacePoint, float64, error) {
+func (o *Oracle) hopSegment(eng geodesic.PathEngine, pts []terrain.SurfacePoint, u, v int32) ([]terrain.SurfacePoint, float64, error) {
 	lo, hi := u, v
 	if lo > hi {
 		lo, hi = hi, lo
@@ -164,11 +191,11 @@ func (o *Oracle) hopSegment(eng geodesic.PathEngine, u, v int32) ([]terrain.Surf
 	seg, ok := o.segCache[key]
 	o.pathMu.Unlock()
 	if !ok {
-		pts, length, err := eng.PathTo(o.pts[lo], o.pts[hi])
+		segPts, length, err := eng.PathTo(pts[lo], pts[hi])
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: geodesic hop %d→%d: %w", u, v, err)
 		}
-		seg = pathSeg{pts: pts, length: length}
+		seg = pathSeg{pts: segPts, length: length}
 		o.pathMu.Lock()
 		if o.segCache == nil {
 			o.segCache = make(map[uint64]pathSeg)

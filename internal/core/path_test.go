@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,8 +96,8 @@ func TestQueryPathSEOracle(t *testing.T) {
 	const eps = 0.25
 	built := w.build(t, Options{Epsilon: eps, Seed: 403})
 	loaded := roundTrip(t, built).(*Oracle)
-	if loaded.Mesh() == nil {
-		t.Fatal("loaded SE oracle lost its mesh section")
+	if m, err := loaded.meshRef(); err != nil || m == nil {
+		t.Fatalf("loaded SE oracle lost its mesh: %v", err)
 	}
 	rng := rand.New(rand.NewSource(405))
 	n := int32(built.NumPOIs())
@@ -134,21 +135,30 @@ func TestQueryPathSEOracle(t *testing.T) {
 	checkPath(t, w.mesh, path, d, w.pois[3], w.pois[3])
 }
 
-// A legacy (pre-container) stream carries neither points nor mesh; path
-// queries must fail loudly, not panic.
-func TestQueryPathLegacyStreamUnavailable(t *testing.T) {
+// An oracle whose image carries no mesh — cut without one and built by no
+// path-capable engine — still answers distances, but path queries must
+// fail loudly with ErrNoPathGeometry (built and loaded alike), not panic.
+func TestQueryPathWithoutGeometryUnavailable(t *testing.T) {
 	w := newTestWorld(t, 9, 10, 411)
-	o := w.build(t, Options{Epsilon: 0.3, Seed: 413})
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Decode(&buf)
+	st, _, err := buildState(w.eng, w.pois, Options{Epsilon: 0.3, Seed: 413})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := legacy.QueryPath(0, 1); err == nil {
-		t.Fatal("legacy oracle answered a path query without geometry")
+	bare, err := st.image(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadBytes(encodeIndex(t, bare), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, o := range map[string]*Oracle{"built": bare, "loaded": loaded.(*Oracle)} {
+		if _, err := o.Query(0, 1); err != nil {
+			t.Fatalf("%s: distance query failed: %v", name, err)
+		}
+		if _, _, err := o.QueryPath(0, 1); !errors.Is(err, ErrNoPathGeometry) {
+			t.Fatalf("%s: QueryPath without geometry = %v, want ErrNoPathGeometry", name, err)
+		}
 	}
 }
 
@@ -310,7 +320,10 @@ func TestQueryPathSharded(t *testing.T) {
 	}
 	loaded := roundTrip(t, single).(*ShardedIndex)
 	rng := rand.New(rand.NewSource(445))
-	pts := single.Members()[0].Index.(*Oracle).Points()
+	pts, err := single.Members()[0].Index.(*Oracle).Points()
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := int32(len(pts))
 	for i := 0; i < 30; i++ {
 		s, q := rng.Int31n(n), rng.Int31n(n)
@@ -338,7 +351,11 @@ func TestQueryPathSharded(t *testing.T) {
 			if mn < 2 {
 				continue
 			}
-			pathQueryParity(t, w.mesh, member, member.Points(), eps, 0, mn-1)
+			mpts, err := member.Points()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pathQueryParity(t, w.mesh, member, mpts, eps, 0, mn-1)
 		}
 	}
 }

@@ -1,33 +1,92 @@
 package core
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
 
-// buildPathSlab precomputes the layer-indexed path array A_s of §3.4 for
-// every POI into one flat int32 slab: row p (o.layerN entries) holds, per
-// layer, the compressed node on the path from POI p's leaf to the root, or -1
-// when the path skips that layer. Query and QueryNaive index the slab instead
-// of walking parent pointers, which makes the query path allocation-free. The
-// slab is O(n·h) int32s, is rebuilt by Decode (it is derived state, never
-// serialized), and is charged to MemoryBytes.
-func (o *Oracle) buildPathSlab() {
-	o.paths = make([]int32, o.npoi*o.layerN)
-	for i := range o.paths {
-		o.paths[i] = -1
-	}
-	for p := 0; p < o.npoi; p++ {
-		row := o.paths[p*o.layerN : (p+1)*o.layerN]
-		for n := o.tree.leaf[p]; n >= 0; n = o.tree.nodes[n].parent {
-			row[o.tree.nodes[n].layer] = n
-		}
-	}
-}
+	"seoracle/internal/perfecthash"
+)
 
-// pathOf returns POI p's row of the path slab. The returned slice aliases
-// oracle-owned memory and must be treated as read-only.
+// query.go — the hot probe path of §3.4 over the image's fixed-stride
+// slabs. A query reads two A_s rows of the paths slab and probes the CHD
+// slot slab once per candidate node pair: bucket hash → one u16
+// displacement load → slot hash → one key-compare-plus-distance load. Node
+// ids read from the slabs are bounds-guarded before they index anything, so
+// corrupt content (a mapped file is not checksummed on load) errors instead
+// of faulting.
+
+// checkIDs validates two POI ids on the hot probe path; the error
+// constructors only run for invalid input.
 //
 //sealint:hotpath
-func (o *Oracle) pathOf(p int32) []int32 {
-	return o.paths[int(p)*o.layerN : (int(p)+1)*o.layerN]
+func (o *Oracle) checkIDs(s, t int32) error {
+	if s < 0 || int(s) >= o.npoi {
+		//sealint:ignore invalid-id error path; valid ids allocate nothing
+		return fmt.Errorf("core: POI id %d out of range [0,%d)", s, o.npoi)
+	}
+	if t < 0 || int(t) >= o.npoi {
+		//sealint:ignore invalid-id error path; valid ids allocate nothing
+		return fmt.Errorf("core: POI id %d out of range [0,%d)", t, o.npoi)
+	}
+	return nil
+}
+
+// pathRow returns POI p's A_s row of the paths slab (layerN u32 entries,
+// flatNone32 where the path skips a layer).
+//
+//sealint:hotpath
+func (o *Oracle) pathRow(p int32) []byte {
+	row := int(p) * o.layerN * 4
+	return o.paths[row : row+o.layerN*4]
+}
+
+// lookup probes the slot slab for node pair (a, b) and returns its stored
+// distance. Callers guarantee a, b < nNodes, so the compact key is
+// well-formed.
+//
+//sealint:hotpath
+func (o *Oracle) lookup(a, b uint32) (float64, bool) {
+	var key uint64
+	if o.wide {
+		key = uint64(a)<<32 | uint64(b)
+	} else {
+		key = uint64(a)<<o.shift | uint64(b)
+	}
+	bkt := perfecthash.CompactBucketOf(key, o.seed, o.nBuckets)
+	d := binary.LittleEndian.Uint16(o.disp[bkt*2:])
+	s := perfecthash.CompactSlotOf(key, o.seed, d, o.nSlots)
+	if o.wide {
+		rec := o.slots[s*flatSlotStrideWide:]
+		if binary.LittleEndian.Uint64(rec) != key {
+			return 0, false
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])), true
+	}
+	rec := o.slots[s*flatSlotStride:]
+	if uint64(binary.LittleEndian.Uint32(rec)) != key {
+		return 0, false
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec[4:])), true
+}
+
+// nodeParentLayer returns the layer of node n's parent (0 for the root),
+// precomputed in the nodes slab (callers guarantee n < nNodes).
+//
+//sealint:hotpath
+func (o *Oracle) nodeParentLayer(n uint32) int {
+	return int(binary.LittleEndian.Uint16(o.nodes[int(n)*flatNodeStride+10:]))
+}
+
+// errFlatCorrupt reports a slab entry that escaped structural validation —
+// a node id out of range, the lazy-validation counterpart of the load-time
+// checks. Kept out of line so the fmt.Errorf argument boxing stays in this
+// cold helper instead of inlining into the //sealint:hotpath probe
+// functions, where the escape gate would (rightly) flag it.
+//
+//go:noinline
+func (o *Oracle) errFlatCorrupt(what string, v uint32) error {
+	return fmt.Errorf("core: flat container corrupt: %s %d out of range [0,%d)", what, v, o.nNodes)
 }
 
 // Query returns the ε-approximate geodesic distance between POIs s and t
@@ -35,7 +94,7 @@ func (o *Oracle) pathOf(p int32) []int32 {
 // first-higher-layer and first-lower-layer passes justified by Lemma 3 /
 // Observation 1.
 //
-// Query only reads the oracle (its per-call scratch lives on the stack), so
+// Query only reads the image (its per-call scratch lives on the stack), so
 // any number of goroutines may query one Oracle concurrently. A successful
 // query performs no heap allocations.
 //
@@ -58,62 +117,88 @@ func (o *Oracle) Query(s, t int32) (float64, error) {
 // pair (Theorem 1) along with its stored distance. It is the shared core of
 // Query (which drops the nodes) and QueryPath (which stitches the highway
 // path between their centers). Callers must have validated s and t and
-// excluded s == t; like Query, a successful call performs no heap
-// allocations.
+// excluded s == t; a successful call performs no heap allocations.
 //
 //sealint:hotpath
-func (o *Oracle) queryPair(s, t int32) (float64, int32, int32, error) {
-	as := o.pathOf(s)
-	at := o.pathOf(t)
+func (o *Oracle) queryPair(s, t int32) (float64, uint32, uint32, error) {
+	as := o.pathRow(s)
+	at := o.pathRow(t)
+	nn := uint32(o.nNodes)
 
-	// Step 1: same-layer pairs.
+	// Step 1: same-layer pairs. A shared ancestor (a == b) needs no probe:
+	// a node is never well-separated from itself — only a leaf self pair
+	// can be stored, and s != t have distinct leaves.
 	for i := 0; i < o.layerN; i++ {
-		if as[i] < 0 || at[i] < 0 {
+		a := binary.LittleEndian.Uint32(as[i*4:])
+		b := binary.LittleEndian.Uint32(at[i*4:])
+		if a == b || a == flatNone32 || b == flatNone32 {
 			continue
 		}
-		if d, ok := o.lookup(as[i], at[i]); ok {
-			return d, as[i], at[i], nil
+		if a >= nn {
+			return 0, 0, 0, o.errFlatCorrupt("path node", a)
+		}
+		if b >= nn {
+			return 0, 0, 0, o.errFlatCorrupt("path node", b)
+		}
+		if d, ok := o.lookup(a, b); ok {
+			return d, a, b, nil
 		}
 	}
 	// Step 2: first-higher-layer pairs (Layer(O) < Layer(O')): for each
 	// node At[i], only layers from its parent's layer up to i-1 can hold a
 	// match (Observation 1).
 	for i := 1; i < o.layerN; i++ {
-		if at[i] < 0 {
+		b := binary.LittleEndian.Uint32(at[i*4:])
+		if b == flatNone32 {
 			continue
 		}
-		j := o.parentLayer(at[i])
+		if b >= nn {
+			return 0, 0, 0, o.errFlatCorrupt("path node", b)
+		}
+		j := o.nodeParentLayer(b)
 		for k := j; k < i; k++ {
-			if as[k] < 0 {
+			a := binary.LittleEndian.Uint32(as[k*4:])
+			if a == flatNone32 {
 				continue
 			}
-			if d, ok := o.lookup(as[k], at[i]); ok {
-				return d, as[k], at[i], nil
+			if a >= nn {
+				return 0, 0, 0, o.errFlatCorrupt("path node", a)
+			}
+			if d, ok := o.lookup(a, b); ok {
+				return d, a, b, nil
 			}
 		}
 	}
 	// Step 3: first-lower-layer pairs, symmetric to step 2.
 	for i := 1; i < o.layerN; i++ {
-		if as[i] < 0 {
+		a := binary.LittleEndian.Uint32(as[i*4:])
+		if a == flatNone32 {
 			continue
 		}
-		j := o.parentLayer(as[i])
+		if a >= nn {
+			return 0, 0, 0, o.errFlatCorrupt("path node", a)
+		}
+		j := o.nodeParentLayer(a)
 		for k := j; k < i; k++ {
-			if at[k] < 0 {
+			b := binary.LittleEndian.Uint32(at[k*4:])
+			if b == flatNone32 {
 				continue
 			}
-			if d, ok := o.lookup(as[i], at[k]); ok {
-				return d, as[i], at[k], nil
+			if b >= nn {
+				return 0, 0, 0, o.errFlatCorrupt("path node", b)
+			}
+			if d, ok := o.lookup(a, b); ok {
+				return d, a, b, nil
 			}
 		}
 	}
-	//sealint:ignore corrupt-oracle error path, never taken on a well-formed index
-	return 0, -1, -1, fmt.Errorf("core: no node pair contains POIs (%d,%d); oracle corrupt", s, t)
+	//sealint:ignore corrupt-oracle error path, never taken on a well-formed image
+	return 0, 0, 0, fmt.Errorf("core: no node pair contains POIs (%d,%d); oracle corrupt", s, t)
 }
 
 // QueryNaive answers the same query by scanning the full A_s × A_t product
-// (the O(h²) naive method of §3.4). Kept as the SE-Naive baseline and as a
-// cross-check for Query.
+// (the O(h²) naive method of §3.4). Kept as the SE-Naive baseline and as
+// the reference Query is checked against.
 //
 //sealint:hotpath
 func (o *Oracle) QueryNaive(s, t int32) (float64, error) {
@@ -123,23 +208,54 @@ func (o *Oracle) QueryNaive(s, t int32) (float64, error) {
 	if s == t {
 		return 0, nil
 	}
-	as := o.pathOf(s)
-	at := o.pathOf(t)
-	for _, a := range as {
-		if a < 0 {
+	d, cnt, err := o.productScan(s, t, false)
+	if err != nil {
+		return 0, err
+	}
+	if cnt == 0 {
+		//sealint:ignore corrupt-oracle error path, never taken on a well-formed image
+		return 0, fmt.Errorf("core: no node pair contains POIs (%d,%d); oracle corrupt", s, t)
+	}
+	return d, nil
+}
+
+// productScan probes every pair of the A_s × A_t product. With all false
+// it stops at the first stored pair and returns its distance (QueryNaive);
+// with all true it counts every stored pair (CheckInvariants' Theorem-1
+// check, which expects exactly one).
+//
+//sealint:hotpath
+func (o *Oracle) productScan(s, t int32, all bool) (float64, int, error) {
+	as := o.pathRow(s)
+	at := o.pathRow(t)
+	nn := uint32(o.nNodes)
+	d, cnt := 0.0, 0
+	for i := 0; i < o.layerN; i++ {
+		a := binary.LittleEndian.Uint32(as[i*4:])
+		if a == flatNone32 {
 			continue
 		}
-		for _, b := range at {
-			if b < 0 {
+		if a >= nn {
+			return 0, 0, o.errFlatCorrupt("path node", a)
+		}
+		for j := 0; j < o.layerN; j++ {
+			b := binary.LittleEndian.Uint32(at[j*4:])
+			if b == flatNone32 {
 				continue
 			}
-			if d, ok := o.lookup(a, b); ok {
-				return d, nil
+			if b >= nn {
+				return 0, 0, o.errFlatCorrupt("path node", b)
+			}
+			if v, ok := o.lookup(a, b); ok {
+				if !all {
+					return v, 1, nil
+				}
+				d = v
+				cnt++
 			}
 		}
 	}
-	//sealint:ignore corrupt-oracle error path, never taken on a well-formed index
-	return 0, fmt.Errorf("core: no node pair contains POIs (%d,%d); oracle corrupt", s, t)
+	return d, cnt, nil
 }
 
 // QueryBatch answers pairs[i] = (s, t) into dst[i] and returns dst. When
@@ -165,31 +281,4 @@ func (o *Oracle) QueryBatch(pairs [][2]int32, dst []float64) ([]float64, error) 
 		dst[i] = d
 	}
 	return dst, nil
-}
-
-// parentLayer returns the layer of node n's parent (0 for the root).
-//
-//sealint:hotpath
-func (o *Oracle) parentLayer(n int32) int {
-	p := o.tree.nodes[n].parent
-	if p < 0 {
-		return 0
-	}
-	return int(o.tree.nodes[p].layer)
-}
-
-// checkIDs validates two POI ids; it sits on the hot path, so the error
-// constructors below only run for invalid input.
-//
-//sealint:hotpath
-func (o *Oracle) checkIDs(s, t int32) error {
-	if s < 0 || int(s) >= o.npoi {
-		//sealint:ignore invalid-id error path; valid ids allocate nothing
-		return fmt.Errorf("core: POI id %d out of range [0,%d)", s, o.npoi)
-	}
-	if t < 0 || int(t) >= o.npoi {
-		//sealint:ignore invalid-id error path; valid ids allocate nothing
-		return fmt.Errorf("core: POI id %d out of range [0,%d)", t, o.npoi)
-	}
-	return nil
 }

@@ -324,8 +324,12 @@ func (sh *ShardedIndex) manifestSection() section {
 			return err
 		}
 		for _, m := range sh.members {
+			kind := m.Index.Stats().Kind
+			if lm, ok := m.Index.(*lazyMember); ok {
+				kind = lm.kind // the kind of the payload it re-emits verbatim
+			}
 			if err := binary.Write(w, binary.LittleEndian,
-				[]uint16{uint16(m.Index.Stats().Kind), uint16(len(m.Name))}); err != nil {
+				[]uint16{uint16(kind), uint16(len(m.Name))}); err != nil {
 				return err
 			}
 			if _, err := io.WriteString(w, m.Name); err != nil {
@@ -340,20 +344,15 @@ func (sh *ShardedIndex) manifestSection() section {
 	}}
 }
 
-// sharedMesh returns the terrain mesh to hoist into the multi container's
-// one shared mesh section: the first SE member's retained mesh, or the mesh
-// a flat member adopted from a previous multi load (its body carries no
-// mesh slab, so the shared section must be re-emitted for it). The tiled
-// build hands every tile the same *Mesh, so only members holding exactly
-// that mesh are stripped of their per-member copy — a hand-assembled index
-// mixing terrains keeps each member's own embedded mesh.
+// sharedMesh returns the terrain mesh to emit as the multi container's one
+// shared mesh section: the mesh adopted by the first SE member whose image
+// embeds none (a tiled build's members, or members of a previous multi
+// load) — those members rely on the shared section for their paths.
+// Members that embed their own mesh slab keep it and need no section.
 func (sh *ShardedIndex) sharedMesh() *terrain.Mesh {
 	for _, m := range sh.members {
-		if o, ok := m.Index.(*Oracle); ok && o.mesh != nil {
-			return o.mesh
-		}
-		if f, ok := m.Index.(*FlatOracle); ok && f.adopted != nil {
-			return f.adopted
+		if o, ok := m.Index.(*Oracle); ok && o.meshC == nil && o.adopted != nil {
+			return o.adopted
 		}
 	}
 	return nil
@@ -361,9 +360,9 @@ func (sh *ShardedIndex) sharedMesh() *terrain.Mesh {
 
 // EncodeTo writes the multi index as a tagged container (kind "multi"):
 // the manifest, the hierarchy and portal sections (hierarchical containers
-// only), one shared terrain mesh (when the SE members tile a common
-// terrain — embedding it per member would store K identical copies), then
-// every member's own container bytes. Members are buffered one at a time
+// only), one shared terrain mesh (when the SE members tile a common terrain
+// and so embed none — storing it per member would keep K identical copies),
+// then every member's own container bytes. Members are buffered one at a time
 // (their containers are deterministic, so decode → re-encode stays
 // byte-identical member by member); lazy members re-emit their retained
 // section bytes verbatim, so a budgeted load re-encodes byte-identically
@@ -385,16 +384,12 @@ func (sh *ShardedIndex) EncodeTo(w io.Writer) error {
 			secs = append(secs, portalsSection(sh.hier.portals))
 		}
 	}
-	var shared *terrain.Mesh
 	if sh.rs != nil {
 		if sh.rawMesh != nil {
 			secs = append(secs, bytesSection(secMesh, sh.rawMesh))
 		}
-	} else {
-		shared = sh.sharedMesh()
-		if shared != nil {
-			secs = append(secs, meshSection(secMesh, shared))
-		}
+	} else if shared := sh.sharedMesh(); shared != nil {
+		secs = append(secs, meshSection(secMesh, shared))
 	}
 	for i, m := range sh.members {
 		if lm, ok := m.Index.(*lazyMember); ok {
@@ -402,13 +397,7 @@ func (sh *ShardedIndex) EncodeTo(w io.Writer) error {
 			continue
 		}
 		var buf bytes.Buffer
-		var err error
-		if o, ok := m.Index.(*Oracle); ok && o.mesh == shared {
-			err = o.encodeContainer(&buf, nil) // mesh hoisted into the shared section
-		} else {
-			err = m.Index.EncodeTo(&buf)
-		}
-		if err != nil {
+		if err := m.Index.EncodeTo(&buf); err != nil {
 			return fmt.Errorf("core: encoding member %q: %w", m.Name, err)
 		}
 		secs = append(secs, bytesSection(secMemberBase+uint32(i), buf.Bytes()))
@@ -426,60 +415,70 @@ func decodeMultiContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	return idx, err
 }
 
-// loadMember decodes one member body from its in-place section bytes. Flat
-// members are sliced zero-copy with keep threaded through (their structural
-// validation stands in for a checksum — see LoadBytes); every other kind is
-// CRC-verified against its own footer before decoding, exactly as a stream
-// Load of the body would. The legacy bare-oracle stream keeps loading
-// through the stream path.
-func loadMember(payload []byte, keep any) (DistanceIndex, error) {
-	if len(payload) >= 4 && isLegacyMagic(payload[:4]) {
-		return Load(bytes.NewReader(payload))
-	}
+// loadMember decodes one member body from its in-place section bytes,
+// checking it against its own CRC footer first. Flat members are sliced
+// zero-copy with keep threaded through; a strict byte-image load skips their
+// checksum (verify false), whose O(n) pass would re-linearize the O(1) cold
+// start — structural validation stands in for it (see LoadBytes). Every
+// other kind is always verified, exactly as a stream Load of the body
+// would.
+func loadMember(payload []byte, keep any, verify bool) (DistanceIndex, error) {
 	kind, secs, err := sliceContainer(payload)
 	if err != nil {
 		return nil, err
 	}
+	if kind != KindFlat || verify {
+		if err := verifyImageCRC(payload); err != nil {
+			return nil, err
+		}
+	}
 	if kind == KindFlat {
-		f, err := decodeFlatSecs(secs, keep)
+		o, err := decodeFlatSecs(secs, keep)
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
 		}
-		return f, nil
+		return o, nil
 	}
-	if err := verifyImageCRC(payload); err != nil {
-		return nil, err
+	return decodeKind(kind, secs)
+}
+
+// servedKind is the kind an index whose container says k serves as: a
+// legacy se body loads as the flat image, every other kind as itself.
+// Manifest kind checks compare a member body against it.
+func servedKind(k Kind) Kind {
+	if k == KindSE {
+		return KindFlat
 	}
-	dec, ok := kindRegistry[kind]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown index kind tag %d (known: se=1, a2a=2, dynamic=3, multi=4, flat=5)", uint16(kind))
+	return k
+}
+
+// adoptShared attaches a multi container's shared mesh to an SE member
+// whose image embeds none, so its paths run on the one terrain copy. The
+// member's POIs are validated against it lazily, on the first path query.
+func adoptShared(idx DistanceIndex, shared *terrain.Mesh) {
+	if o, ok := idx.(*Oracle); ok && o.meshC == nil && shared != nil {
+		o.adopted = shared
 	}
-	idx, err := dec(secs)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding %s container: %w", kind, err)
-	}
-	return idx, nil
 }
 
 // decodeMulti is the keep/tolerant-only entry into decodeMultiCfg, kept for
 // the call sites that never load lazily (stream decode, LoadDegraded).
 func decodeMulti(secs map[uint32][]byte, tolerant bool, keep any) (DistanceIndex, []Quarantined, error) {
-	return decodeMultiCfg(secs, multiLoadConfig{keep: keep, tolerant: tolerant})
+	return decodeMultiCfg(secs, multiLoadConfig{keep: keep, tolerant: tolerant, verify: true})
 }
 
 // decodeMultiCfg is decodeMultiContainer with an optional tolerant mode
 // (the LoadDegraded path) and an optional lazy mode (LoadOptions.MemBudget
 // — see lazy.go). In tolerant mode, member-level failures — a missing or
-// undecodable member body, a manifest/body kind mismatch, a member that
-// fails shared-mesh validation — quarantine the member instead of failing
-// the load, and the healthy rest are assembled. Manifest, hierarchy and
+// undecodable member body, a manifest/body kind mismatch — quarantine the
+// member instead of failing the load, and the healthy rest are assembled. Manifest, hierarchy and
 // shared-mesh damage stays fatal in both modes: without a trustworthy
 // manifest there is no member identity to quarantine under. Tolerant loads
 // fail only when every member is damaged. cfg.keep is retained by zero-copy
 // (flat) members whose slabs alias the section bytes (see LoadBytes).
 //
 // Lazy mode defers each member's body decode — and therefore its kind,
-// shared-mesh and point-count validation — to the first query that touches
+// and point-count validation — to the first query that touches
 // it (a deliberate relaxation, like LoadDegraded's: cold start must not pay
 // for tiles the traffic never visits). A body that fails at fault time
 // serves ErrMemberFault thereafter; only a missing member section is still
@@ -615,7 +614,7 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 			members = append(members, ShardMember{Name: e.name, BBox: e.bbox, Index: lm})
 			continue
 		}
-		idx, err := loadMember(payload, keep)
+		idx, err := loadMember(payload, keep, cfg.verify)
 		if err != nil {
 			if !tolerant {
 				return nil, nil, fmt.Errorf("member %q: %w", e.name, err)
@@ -631,7 +630,7 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 			quarantine(err)
 			continue
 		}
-		if got := idx.Stats().Kind; got != e.kind {
+		if got := idx.Stats().Kind; got != servedKind(e.kind) {
 			err := fmt.Errorf("member %q: manifest says kind %s, body holds %s", e.name, e.kind, got)
 			if !tolerant {
 				return nil, nil, err
@@ -639,29 +638,7 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 			quarantine(err)
 			continue
 		}
-		if o, ok := idx.(*Oracle); ok && o.mesh == nil && shared != nil {
-			meshErr := error(nil)
-			for j, p := range o.pts {
-				if err := checkMeshPoint(p, shared); err != nil {
-					meshErr = fmt.Errorf("member %q POI %d against the shared mesh: %w", e.name, j, err)
-					break
-				}
-			}
-			if meshErr != nil {
-				if !tolerant {
-					return nil, nil, meshErr
-				}
-				quarantine(meshErr)
-				continue
-			}
-			o.mesh = shared
-		}
-		if fo, ok := idx.(*FlatOracle); ok && fo.meshC == nil && shared != nil {
-			// A mesh-less flat member adopts the shared terrain; its POIs are
-			// validated against it lazily, on the first path query (the flat
-			// layout defers every cold-slab decode).
-			fo.adopted = shared
-		}
+		adoptShared(idx, shared)
 		if expectPts >= 0 {
 			if got := idx.Stats().Points; int64(got) != expectPts {
 				err := fmt.Errorf("member %q: hierarchy expects %d points (%d POIs + portals), body holds %d", e.name, expectPts, npois, got)
@@ -752,76 +729,7 @@ func tileIndex(v, min, span float64, k int) int {
 // Member names are "tile-<col>-<row>"; each member's manifest bbox is its
 // full tile rectangle (edge tiles extend to the terrain bounds).
 func BuildShardedSE(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt Options) (*ShardedIndex, error) {
-	if shards < 1 || shards > maxShardMembers {
-		return nil, fmt.Errorf("core: shard count %d out of range [1,%d]", shards, maxShardMembers)
-	}
-	if len(pois) == 0 {
-		return nil, fmt.Errorf("core: no POIs")
-	}
-	st := m.ComputeStats()
-	minX, minY := st.BBoxMin.X, st.BBoxMin.Y
-	spanX, spanY := st.BBoxMax.X-minX, st.BBoxMax.Y-minY
-	kx, ky := shardGrid(shards)
-
-	buckets := make([][]terrain.SurfacePoint, kx*ky)
-	for _, p := range pois {
-		ix := tileIndex(p.P.X, minX, spanX, kx)
-		iy := tileIndex(p.P.Y, minY, spanY, ky)
-		buckets[iy*kx+ix] = append(buckets[iy*kx+ix], p)
-	}
-
-	type tile struct {
-		name string
-		bbox BBox2D
-		pois []terrain.SurfacePoint
-	}
-	var tiles []tile
-	for iy := 0; iy < ky; iy++ {
-		for ix := 0; ix < kx; ix++ {
-			pts := buckets[iy*kx+ix]
-			if len(pts) == 0 {
-				continue
-			}
-			tiles = append(tiles, tile{
-				name: fmt.Sprintf("tile-%d-%d", ix, iy),
-				bbox: BBox2D{
-					MinX: minX + spanX*float64(ix)/float64(kx),
-					MinY: minY + spanY*float64(iy)/float64(ky),
-					MaxX: minX + spanX*float64(ix+1)/float64(kx),
-					MaxY: minY + spanY*float64(iy+1)/float64(ky),
-				},
-				pois: pts,
-			})
-		}
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	// Split the worker budget between the tile fan-out and each tile's
-	// inner build phases, so total goroutines stay ~workers instead of
-	// workers² (output is byte-identical either way).
-	innerOpt := opt
-	innerOpt.Workers = workers / len(tiles)
-	if innerOpt.Workers < 1 {
-		innerOpt.Workers = 1
-	}
-	built := make([]DistanceIndex, len(tiles))
-	errs := make([]error, len(tiles))
-	parfor(workers, len(tiles), func(i int) {
-		built[i], errs[i] = Build(eng, tiles[i].pois, innerOpt)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: building shard %s (%d POIs): %w", tiles[i].name, len(tiles[i].pois), err)
-		}
-	}
-	members := make([]ShardMember, len(tiles))
-	for i, tl := range tiles {
-		members[i] = ShardMember{Name: tl.name, BBox: tl.bbox, Index: built[i]}
-	}
-	return NewShardedIndex(members)
+	return BuildShardedLOD(eng, m, pois, shards, LODOptions{Options: opt})
 }
 
 // NearestAcross returns the globally nearest indexed endpoint over every

@@ -49,7 +49,7 @@ func TestShardedBuildPartition(t *testing.T) {
 	for _, m := range sh.Members() {
 		o := m.Index.(*Oracle)
 		total += o.NumPOIs()
-		for _, p := range o.Points() {
+		for _, p := range mustPoints(t, o) {
 			// Half-open routing containment (the tiling assigns boundary
 			// POIs with the same [min,max) rule, outer edges included).
 			if !sh.contains(m.BBox, p.P.X, p.P.Y) {
@@ -67,7 +67,7 @@ func TestShardedBuildPartition(t *testing.T) {
 			t.Fatalf("POI %d at (%g,%g) located no member", i, p.P.X, p.P.Y)
 		}
 		found := false
-		for _, q := range m.Index.(*Oracle).Points() {
+		for _, q := range mustPoints(t, m.Index.(*Oracle)) {
 			if q.P == p.P {
 				found = true
 				break
@@ -81,7 +81,7 @@ func TestShardedBuildPartition(t *testing.T) {
 	// distances between the corresponding original POIs.
 	for _, m := range sh.Members() {
 		o := m.Index.(*Oracle)
-		pts := o.Points()
+		pts := mustPoints(t, o)
 		for s := 0; s < len(pts); s++ {
 			for q := s + 1; q < len(pts); q++ {
 				got, err := o.Query(int32(s), int32(q))
@@ -139,7 +139,7 @@ func TestNearestAcrossIsGlobal(t *testing.T) {
 	bruteforce := func(x, y float64) (string, float64) {
 		bestName, bestD2 := "", math.Inf(1)
 		for _, m := range sh.Members() {
-			for _, p := range m.Index.(*Oracle).Points() {
+			for _, p := range mustPoints(t, m.Index.(*Oracle)) {
 				dx, dy := p.P.X-x, p.P.Y-y
 				if d2 := dx*dx + dy*dy; d2 < bestD2 {
 					bestName, bestD2 = m.Name, d2

@@ -263,7 +263,7 @@ func TestNearestKAcrossMergesMembers(t *testing.T) {
 	brute := func(x, y float64, k int) []MemberNeighbor {
 		var all []MemberNeighbor
 		for _, m := range sh.Members() {
-			for i, p := range m.Index.(*Oracle).Points() {
+			for i, p := range mustPoints(t, m.Index.(*Oracle)) {
 				dx, dy := p.P.X-x, p.P.Y-y
 				all = append(all, MemberNeighbor{Member: m.Name,
 					Neighbor: Neighbor{ID: int32(i), At: p, Planar: math.Sqrt(dx*dx + dy*dy)}})

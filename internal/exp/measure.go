@@ -112,7 +112,7 @@ func (m *seMethod) build(ds *Dataset) error {
 	return err
 }
 
-func (m *seMethod) sizeBytes() int64 { return m.oracle.MemoryBytes() }
+func (m *seMethod) sizeBytes() int64 { return m.oracle.SizeBytes() }
 
 func (m *seMethod) query(ds *Dataset, s, t int32) (float64, error) {
 	if m.naiveQuery {

@@ -5,11 +5,10 @@ import (
 	"sort"
 )
 
-// compact.go — the hash-and-displace ("compacted FKS") layout behind the
-// flat container's slot slab. The classic FKS table above is fast to build
-// and probe, but spends ~2.2n slots plus a per-bucket header; the compact
-// form keeps the two-load probe while storing exactly CompactSlots(n) ≈
-// 1.06n slots plus one uint16 displacement per λ keys:
+// compact.go — the hash-and-displace table behind the oracle image's slot
+// slab. Compared with a classic two-level FKS table (~2.2n slots plus a
+// per-bucket header) it keeps the two-load probe while storing exactly
+// CompactSlots(n) ≈ 1.06n slots plus one uint16 displacement per λ keys:
 //
 //	bucket  = h(key, seed)            mod CompactBuckets(n)
 //	slot    = h(key, seed ⊕ disp[b])  mod CompactSlots(n)

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzLookup drives the flat slot layout with arbitrary key material: build a
-// table from the fuzzed keys (deduplicated), then check that every member
-// round-trips to its insertion index and that probes for arbitrary derived
-// non-member keys neither panic nor alias onto a wrong member.
+// FuzzLookup drives the compact (CHD) table with arbitrary key material:
+// build it from the fuzzed keys (deduplicated), lay its slots out the way
+// the oracle image does, then check that every member key reaches its own
+// slot and that probes for derived non-member keys never alias onto a
+// member.
 func FuzzLookup(f *testing.F) {
 	f.Add([]byte{}, int64(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, int64(2))
@@ -33,30 +34,40 @@ func FuzzLookup(f *testing.F) {
 				break
 			}
 		}
-		tab, err := Build(keys, seed)
+		disp, slotOf, used, err := BuildCompact(keys, uint64(seed))
 		if err != nil {
-			t.Fatalf("Build on %d deduplicated keys: %v", len(keys), err)
+			t.Fatalf("BuildCompact on %d deduplicated keys: %v", len(keys), err)
+		}
+		ns := CompactSlots(len(keys))
+		owner := make([]int32, ns)
+		for s := range owner {
+			owner[s] = -1
+		}
+		for i, s := range slotOf {
+			if s < 0 || int(s) >= ns {
+				t.Fatalf("key %d placed at slot %d of %d", i, s, ns)
+			}
+			if owner[s] >= 0 {
+				t.Fatalf("keys %d and %d share slot %d", owner[s], i, s)
+			}
+			owner[s] = int32(i)
 		}
 		for i, k := range keys {
-			if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-				t.Fatalf("Lookup(%#x) = %d, %v; want %d, true", k, v, ok, i)
-			}
-			if v := tab.Index(k); v != int32(i) {
-				t.Fatalf("Index(%#x) = %d; want %d", k, v, i)
+			if s := probeCompact(k, used, disp, ns); s != slotOf[i] {
+				t.Fatalf("member %#x probes slot %d, placed at %d", k, s, slotOf[i])
 			}
 		}
-		// Derived probes: mutations of member keys plus a fixed battery.
-		// Whatever the table answers must be consistent with membership.
+		// Derived probes: mutations of member keys plus a fixed battery. A
+		// probe may land on any slot; it is a member hit only when that
+		// slot's key is the probe itself.
 		probe := func(k uint64) {
-			v, ok := tab.Lookup(k)
-			if ok != dedup[k] {
-				t.Fatalf("Lookup(%#x) membership = %v, want %v", k, ok, dedup[k])
+			s := probeCompact(k, used, disp, ns)
+			if s < 0 || int(s) >= ns {
+				t.Fatalf("probe %#x landed outside the %d slots: %d", k, ns, s)
 			}
-			if ok && keys[v] != k {
-				t.Fatalf("Lookup(%#x) points at key %#x", k, keys[v])
-			}
-			if (tab.Index(k) >= 0) != ok {
-				t.Fatalf("Index(%#x) disagrees with Lookup", k)
+			hit := owner[s] >= 0 && keys[owner[s]] == k
+			if hit != dedup[k] {
+				t.Fatalf("probe %#x membership = %v, want %v", k, hit, dedup[k])
 			}
 		}
 		for _, k := range keys {

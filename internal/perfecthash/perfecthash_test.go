@@ -6,29 +6,64 @@ import (
 	"testing/quick"
 )
 
+// chdTable lays a compact table's slots out the way the oracle image lays
+// its slot slab: slot s holds the index of the key placed there, or -1, and
+// a probe compares the stored key — the membership test the image makes by
+// comparing its inline key.
+type chdTable struct {
+	keys  []uint64
+	disp  []uint16
+	slots []int32
+	seed  uint64
+}
+
+func buildTable(keys []uint64, seed uint64) (*chdTable, error) {
+	disp, slotOf, used, err := BuildCompact(keys, seed)
+	if err != nil {
+		return nil, err
+	}
+	t := &chdTable{keys: keys, disp: disp, slots: make([]int32, CompactSlots(len(keys))), seed: used}
+	for s := range t.slots {
+		t.slots[s] = -1
+	}
+	for i, s := range slotOf {
+		t.slots[s] = int32(i)
+	}
+	return t, nil
+}
+
+// lookup returns key's index, or ok == false when key is not a member.
+func (t *chdTable) lookup(key uint64) (int32, bool) {
+	i := t.slots[probeCompact(key, t.seed, t.disp, len(t.slots))]
+	if i < 0 || t.keys[i] != key {
+		return 0, false
+	}
+	return i, true
+}
+
 func TestEmpty(t *testing.T) {
-	tab, err := Build(nil, 1)
+	tab, err := buildTable(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tab.Lookup(42); ok {
+	if _, ok := tab.lookup(42); ok {
 		t.Error("lookup in empty table succeeded")
 	}
-	if tab.Len() != 0 {
-		t.Errorf("Len = %d", tab.Len())
+	if len(tab.slots) != 1 || len(tab.disp) != 1 {
+		t.Errorf("empty table holds %d slots, %d buckets; want 1, 1", len(tab.slots), len(tab.disp))
 	}
 }
 
 func TestSingle(t *testing.T) {
-	tab, err := Build([]uint64{7}, 1)
+	tab, err := buildTable([]uint64{7}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := tab.Lookup(7); !ok || v != 0 {
-		t.Errorf("Lookup(7) = %d, %v", v, ok)
+	if v, ok := tab.lookup(7); !ok || v != 0 {
+		t.Errorf("lookup(7) = %d, %v", v, ok)
 	}
-	if _, ok := tab.Lookup(8); ok {
-		t.Error("Lookup(8) should miss")
+	if _, ok := tab.lookup(8); ok {
+		t.Error("lookup(8) should miss")
 	}
 }
 
@@ -37,18 +72,18 @@ func TestSequentialKeys(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	tab, err := Build(keys, 2)
+	tab, err := buildTable(keys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-			t.Fatalf("Lookup(%d) = %d, %v", k, v, ok)
+		if v, ok := tab.lookup(k); !ok || v != int32(i) {
+			t.Fatalf("lookup(%d) = %d, %v", k, v, ok)
 		}
 	}
 	for k := uint64(1000); k < 2000; k++ {
-		if _, ok := tab.Lookup(k); ok {
-			t.Fatalf("Lookup(%d) should miss", k)
+		if _, ok := tab.lookup(k); ok {
+			t.Fatalf("lookup(%d) should miss", k)
 		}
 	}
 }
@@ -62,27 +97,28 @@ func TestPackedPairKeys(t *testing.T) {
 			keys = append(keys, a<<32|b)
 		}
 	}
-	tab, err := Build(keys, 3)
+	tab, err := buildTable(keys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-			t.Fatalf("Lookup(%#x) = %d, %v", k, v, ok)
+		if v, ok := tab.lookup(k); !ok || v != int32(i) {
+			t.Fatalf("lookup(%#x) = %d, %v", k, v, ok)
 		}
 	}
-	if _, ok := tab.Lookup(uint64(51) << 32); ok {
+	if _, ok := tab.lookup(uint64(51) << 32); ok {
 		t.Error("miss expected")
 	}
 }
 
 func TestDuplicateKeysRejected(t *testing.T) {
-	if _, err := Build([]uint64{1, 2, 3, 2}, 4); err == nil {
+	if _, err := buildTable([]uint64{1, 2, 3, 2}, 4); err == nil {
 		t.Error("expected error on duplicate keys")
 	}
 }
 
-// FKS guarantee: total second-level space stays linear.
+// CHD guarantee: the slot and displacement arrays stay linear in n —
+// CompactSlots(n) ≈ 1.06n slots and ⌈n/4⌉ uint16 displacements.
 func TestLinearSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{10, 100, 1000, 20000} {
@@ -98,15 +134,15 @@ func TestLinearSpace(t *testing.T) {
 				}
 			}
 		}
-		tab, err := Build(keys, int64(n))
+		tab, err := buildTable(keys, uint64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab.Slots() > 4*n {
-			t.Errorf("n=%d: %d slots exceeds 4n", n, tab.Slots())
+		if len(tab.slots) > n+n/16+1 {
+			t.Errorf("n=%d: %d slots exceeds n + n/16 + 1", n, len(tab.slots))
 		}
-		if tab.MemoryBytes() <= 0 {
-			t.Error("MemoryBytes must be positive")
+		if len(tab.disp) > (n+3)/4 {
+			t.Errorf("n=%d: %d displacements exceeds ⌈n/4⌉", n, len(tab.disp))
 		}
 	}
 }
@@ -126,18 +162,18 @@ func TestLookupProperty(t *testing.T) {
 				keys = append(keys, k)
 			}
 		}
-		tab, err := Build(keys, seed)
+		tab, err := buildTable(keys, uint64(seed))
 		if err != nil {
 			return false
 		}
 		for i, k := range keys {
-			if v, ok := tab.Lookup(k); !ok || v != int32(i) {
+			if v, ok := tab.lookup(k); !ok || v != int32(i) {
 				return false
 			}
 		}
 		for i := 0; i < 50; i++ {
 			k := rng.Uint64()
-			if v, ok := tab.Lookup(k); ok && (int(v) >= len(keys) || keys[v] != k) {
+			if _, ok := tab.lookup(k); ok != seen[k] {
 				return false
 			}
 		}

@@ -3,20 +3,20 @@ package perfecthash
 import "testing"
 
 // Regression: keys whose mixed values differ by a multiple of a large power
-// of two must still be separable by the second-level hash family. An
-// earlier multiply-shift family kept only low product bits, making such key
-// pairs collide under every multiplier (observed with real oracle pair keys
+// of two must still be separable by the hash family. An earlier
+// multiply-shift family kept only low product bits, making such key pairs
+// collide under every multiplier (observed with real oracle pair keys
 // 0x19c0000020c and 0x2e000000427, whose mixes differ by a multiple of
 // 2^19).
 func TestStructuredDifferenceKeys(t *testing.T) {
 	keys := []uint64{0x19c0000020c, 0x2e000000427}
-	tab, err := Build(keys, 2)
+	tab, err := buildTable(keys, 2)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildCompact: %v", err)
 	}
 	for i, k := range keys {
-		if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-			t.Errorf("Lookup(%#x) = %d, %v", k, v, ok)
+		if v, ok := tab.lookup(k); !ok || v != int32(i) {
+			t.Errorf("lookup(%#x) = %d, %v", k, v, ok)
 		}
 	}
 }
@@ -29,13 +29,13 @@ func TestStridedKeys(t *testing.T) {
 		for i := range keys {
 			keys[i] = uint64(i) * stride
 		}
-		tab, err := Build(keys, 3)
+		tab, err := buildTable(keys, 3)
 		if err != nil {
 			t.Fatalf("stride %#x: %v", stride, err)
 		}
 		for i, k := range keys {
-			if v, ok := tab.Lookup(k); !ok || v != int32(i) {
-				t.Fatalf("stride %#x: Lookup(%#x) = %d, %v", stride, k, v, ok)
+			if v, ok := tab.lookup(k); !ok || v != int32(i) {
+				t.Fatalf("stride %#x: lookup(%#x) = %d, %v", stride, k, v, ok)
 			}
 		}
 	}

@@ -9,18 +9,15 @@ import (
 	"seoracle/internal/core"
 )
 
-// flat_test.go — serving the flat container layout: a flat index loaded
-// from an mmap answers through the whole HTTP surface unchanged, and
-// /statsz reports the heap-vs-mapped memory split the layout exists for.
+// flat_test.go — serving the flat oracle image: an index loaded from an
+// mmap answers through the whole HTTP surface unchanged, and /statsz
+// reports the heap-vs-mapped memory split the layout exists for.
 
-// writeFlatFile converts idx to the flat layout and writes it to a temp
-// container file, returning the path and the converted index.
+// writeFlatFile writes idx — whose SE oracles are flat images — to a temp
+// container file, returning the path and idx.
 func writeFlatFile(t *testing.T, idx core.DistanceIndex) (string, core.DistanceIndex) {
 	t.Helper()
-	flat, err := core.ConvertFlat(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := idx
 	path := filepath.Join(t.TempDir(), "flat.sedx")
 	f, err := os.Create(path)
 	if err != nil {

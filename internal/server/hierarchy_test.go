@@ -65,7 +65,7 @@ func globalPoint(t *testing.T, sh *core.ShardedIndex, g int32) [2]float64 {
 	}
 	for _, m := range sh.Members() {
 		if m.Name == name {
-			p := m.Index.(*core.Oracle).Points()[local]
+			p := oraclePoints(t, m.Index)[local]
 			return [2]float64{p.P.X, p.P.Y}
 		}
 	}
@@ -205,8 +205,8 @@ func TestLegacyCrossMember422(t *testing.T) {
 
 	// Find two member POIs in different tiles.
 	ms := sh.Members()
-	ps := ms[0].Index.(*core.Oracle).Points()[0]
-	pt := ms[1].Index.(*core.Oracle).Points()[0]
+	ps := oraclePoints(t, ms[0].Index)[0]
+	pt := oraclePoints(t, ms[1].Index)[0]
 	var er struct {
 		Error string `json:"error"`
 	}

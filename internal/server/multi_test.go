@@ -65,7 +65,7 @@ func TestMultiRouting(t *testing.T) {
 		if code := get(t, ts, "/v1/query?index="+m.Name+"&s=0&t=1", &qr); code != 200 {
 			t.Fatalf("query index=%s = %d", m.Name, code)
 		}
-		if qr.Distance != want || qr.Index != m.Name || qr.Kind != "se" {
+		if qr.Distance != want || qr.Index != m.Name || qr.Kind != "flat" {
 			t.Fatalf("index=%s got %+v, want %g", m.Name, qr, want)
 		}
 	}
@@ -88,7 +88,7 @@ func TestMultiRouting(t *testing.T) {
 	// Nearest routes by bbox: querying at a member's own POI returns that
 	// member's name and a local id resolving to the same point.
 	for _, m := range sh.Members() {
-		p := m.Index.(*core.Oracle).Points()[0]
+		p := oraclePoints(t, m.Index)[0]
 		var nr struct {
 			ID       int32   `json:"id"`
 			Index    string  `json:"index"`

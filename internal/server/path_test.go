@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"seoracle/internal/core"
+	"seoracle/internal/geodesic"
 )
 
 // pathBody mirrors /v1/path's GeoJSON Feature shape.
@@ -62,7 +63,7 @@ func TestPathSE(t *testing.T) {
 	if code := get(t, ts, "/v1/path?s=0&t=5", &p); code != 200 {
 		t.Fatalf("/v1/path = %d", code)
 	}
-	checkPathBody(t, p, "se")
+	checkPathBody(t, p, "flat")
 	d, err := o.Query(0, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -115,19 +116,28 @@ func TestPathCoordinatesA2A(t *testing.T) {
 	}
 }
 
-// TestPathNoGeometryIs501: an index that cannot report paths at all (a
-// legacy stream without mesh or point sections) answers 501, not 500.
+// distanceOnly hides every capability of an engine but DistancesTo, so an
+// oracle built on it carries no terrain and no path engine.
+type distanceOnly struct{ geodesic.Engine }
+
+// TestPathNoGeometryIs501: an index that cannot report paths at all (built
+// on an engine that exposes no terrain, and loaded back from its
+// container) answers 501, not 500.
 func TestPathNoGeometryIs501(t *testing.T) {
-	o := seOracle(t)
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := core.Load(&buf)
+	_, pois, eng := testWorld(t)
+	o, err := core.Build(distanceOnly{eng}, pois, core.Options{Epsilon: 0.2, Seed: 73})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(legacy).Handler())
+	var buf bytes.Buffer
+	if err := o.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(loaded).Handler())
 	defer ts.Close()
 	var er errorResponse
 	if code := get(t, ts, "/v1/path?s=0&t=1", &er); code != 501 && code != 400 {
@@ -182,7 +192,7 @@ func TestPathMulti(t *testing.T) {
 		if code := get(t, ts, "/v1/path?index="+m.Name+"&s=0&t=1", &p); code != 200 {
 			t.Fatalf("path index=%s = %d", m.Name, code)
 		}
-		checkPathBody(t, p, "se")
+		checkPathBody(t, p, "flat")
 		if p.Properties.Index != m.Name {
 			t.Fatalf("path answered by %q, want %q", p.Properties.Index, m.Name)
 		}

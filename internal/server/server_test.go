@@ -31,6 +31,17 @@ func testWorld(t *testing.T) (*terrain.Mesh, []terrain.SurfacePoint, *geodesic.E
 	return m, gen.Dedup(pois, 1e-9), geodesic.NewExact(m)
 }
 
+// oraclePoints returns an SE oracle's point table, failing the test on
+// error.
+func oraclePoints(t *testing.T, idx core.DistanceIndex) []terrain.SurfacePoint {
+	t.Helper()
+	pts, err := idx.(*core.Oracle).Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
+}
+
 func seOracle(t *testing.T) *core.Oracle {
 	t.Helper()
 	m, pois, eng := testWorld(t)
@@ -89,7 +100,7 @@ func TestHealthz(t *testing.T) {
 	if code := get(t, ts, "/healthz", &h); code != 200 {
 		t.Fatalf("healthz = %d", code)
 	}
-	if h.Status != "ok" || h.Kind != "se" {
+	if h.Status != "ok" || h.Kind != "flat" {
 		t.Fatalf("healthz body %+v", h)
 	}
 	// Methods are enforced.
@@ -114,8 +125,8 @@ func TestQueryByID(t *testing.T) {
 	if code := get(t, ts, "/v1/query?s=1&t=5", &qr); code != 200 {
 		t.Fatalf("query = %d", code)
 	}
-	if qr.Distance != want || qr.Kind != "se" {
-		t.Fatalf("got %+v, want distance %g kind se", qr, want)
+	if qr.Distance != want || qr.Kind != "flat" {
+		t.Fatalf("got %+v, want distance %g kind flat", qr, want)
 	}
 	// POST JSON form.
 	qr.Distance = -1
@@ -232,7 +243,7 @@ func TestNearest(t *testing.T) {
 	ts := httptest.NewServer(New(o).Handler())
 	defer ts.Close()
 
-	pts := o.Points()
+	pts := oraclePoints(t, o)
 	var nr struct {
 		ID       int32   `json:"id"`
 		Distance float64 `json:"distance"`

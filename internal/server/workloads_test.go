@@ -62,7 +62,7 @@ func TestMatrixByIDs(t *testing.T) {
 		map[string]interface{}{"sources": sources, "targets": targets}, &mr); code != 200 {
 		t.Fatalf("matrix = %d", code)
 	}
-	if mr.Rows != 3 || mr.Cols != 4 || len(mr.Distances) != 12 || mr.Kind != "se" || len(mr.Errors) != 0 {
+	if mr.Rows != 3 || mr.Cols != 4 || len(mr.Distances) != 12 || mr.Kind != "flat" || len(mr.Errors) != 0 {
 		t.Fatalf("matrix shape %+v", mr)
 	}
 	for i, s := range sources {

@@ -67,7 +67,7 @@ say "sequery says d(0,5) = $WANT_SE"
 "$TMP/seserve" -index "$TMP/se.sedx" -addr "127.0.0.1:$PORT" &
 SERVER_PID=$!
 wait_healthy
-grep -q '"kind":"se"' "$TMP/health.json" || { say "healthz kind mismatch: $(cat "$TMP/health.json")"; exit 1; }
+grep -q '"kind":"flat"' "$TMP/health.json" || { say "healthz kind mismatch: $(cat "$TMP/health.json")"; exit 1; }
 
 curl_json "http://127.0.0.1:$PORT/v1/query?s=0&t=5" >"$TMP/q.json"
 GOT_SE="$(field "$TMP/q.json" distance)"

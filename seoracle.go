@@ -9,7 +9,7 @@
 // linear in the number of POIs — independent of the terrain size. It also
 // ships the substrates the paper builds on: an exact geodesic
 // single-source-all-destinations (SSAD) engine in the continuous-Dijkstra
-// (MMP) paradigm, Steiner-graph approximations, an FKS perfect hash and a
+// (MMP) paradigm, Steiner-graph approximations, a CHD perfect hash and a
 // B+-tree, plus the baselines the paper compares against.
 //
 // Basic usage:
@@ -138,12 +138,15 @@ type IndexStats = core.IndexStats
 // Kind tags the concrete engine behind a serialized index container.
 type Kind = core.Kind
 
-// Container kind tags.
+// Container kind tags. An Oracle reports KindFlat; KindSE tags the older
+// decoded layout, which still loads (as an Oracle) but is no longer
+// written.
 const (
 	KindSE      = core.KindSE
 	KindA2A     = core.KindA2A
 	KindDynamic = core.KindDynamic
 	KindMulti   = core.KindMulti
+	KindFlat    = core.KindFlat
 )
 
 // Options configures oracle construction.
@@ -285,28 +288,20 @@ func BuildShardedLOD(t *Terrain, pois []SurfacePoint, shards int, opt LODOptions
 // WriteSharded builds the same container BuildShardedLOD + EncodeTo would
 // produce, but streams each member to w as it is built and drops it before
 // the next starts, so peak memory is one tile rather than the whole
-// container. The output bytes are identical to the resident path. flat
-// selects the zero-parse flat member layout.
-func WriteSharded(w io.Writer, t *Terrain, pois []SurfacePoint, shards int, opt LODOptions, flat bool) (ShardedBuildSummary, error) {
-	return core.WriteSharded(w, geodesic.NewExact(t), t, pois, shards, opt, flat)
+// container. The output bytes are identical to the resident path.
+func WriteSharded(w io.Writer, t *Terrain, pois []SurfacePoint, shards int, opt LODOptions) (ShardedBuildSummary, error) {
+	return core.WriteSharded(w, geodesic.NewExact(t), t, pois, shards, opt, true)
 }
 
 // Load reads any serialized index container (written with EncodeTo) and
 // returns the concrete engine behind the DistanceIndex interface — an
-// *Oracle, *A2AOracle or *DynamicOracle according to the container's kind
-// tag. It also accepts the legacy bare-oracle streams Oracle.Encode wrote
-// before the container format existed.
+// *Oracle, *A2AOracle, *DynamicOracle or *ShardedIndex according to the
+// container's kind tag. Containers written in the older decoded se layout
+// load as the same types.
 func Load(r io.Reader) (DistanceIndex, error) { return core.Load(r) }
 
 // LoadFile opens path and Loads the index it contains.
 func LoadFile(path string) (DistanceIndex, error) { return core.LoadFile(path) }
-
-// LoadOracle reads a serialized SE oracle (legacy stream or SE-kind
-// container).
-//
-// Deprecated: use Load, which handles every index kind and returns the
-// right concrete type.
-func LoadOracle(r io.Reader) (*Oracle, error) { return core.Decode(r) }
 
 // ExactDistance computes the exact geodesic distance between two surface
 // points with the window-propagation SSAD engine. For repeated queries,

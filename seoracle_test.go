@@ -42,12 +42,16 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := oracle.Encode(&buf); err != nil {
+	if err := oracle.EncodeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadOracle(&buf)
+	idx, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	loaded, ok := idx.(*Oracle)
+	if !ok {
+		t.Fatalf("Load returned %T, want *Oracle", idx)
 	}
 	for i := 1; i < len(pois); i++ {
 		a, _ := oracle.Query(0, int32(i))
