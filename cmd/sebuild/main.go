@@ -16,7 +16,9 @@
 // -shards=K (se kind) tiles the terrain's planar bounding box into K tiles,
 // builds one SE oracle per non-empty tile in parallel, and writes them as
 // one multi container ("tile-<col>-<row>" members with their tile bboxes)
-// that seserve routes across by name or coordinates. Output is
+// that seserve routes across by name, coordinates or global id (the tiles'
+// POIs concatenated in tile order; a pair across tiles has no route
+// without -lod and answers a cross-member error). Output is
 // byte-identical for any -workers value. Without -check the container is
 // streamed tile by tile — each member is built, encoded and dropped before
 // the next, so peak memory is about one tile, not the whole container.
@@ -25,8 +27,8 @@
 // boundary portals are placed on every shared tile edge so short
 // cross-tile queries stitch exactly, and each coarse level is one
 // terrain-spanning A2A member that answers long-range queries cheaply.
-// The result is one hierarchical multi container with a global id space
-// (see seserve -mem-budget for serving it larger than RAM).
+// The result is one multi container whose hierarchy routes every global id
+// pair (see seserve -mem-budget for serving it larger than RAM).
 //
 // Every SE oracle — the se kind, each fine tile, and the oracle inside a2a
 // and dynamic containers — is written as the zero-parse flat image, which
@@ -62,7 +64,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "construction worker goroutines (0 = all CPUs; output is identical for any value)")
 		sitesPerEdge = flag.Int("sites-per-edge", 0, "a2a: Steiner sites per mesh edge (0 = derive from eps)")
 		shards       = flag.Int("shards", 1, "se: tile the terrain into this many shards and write a multi container")
-		lod          = flag.Int("lod", 0, "se sharded: total LOD levels including the fine grid (0 or 1 = flat grid; 2+ adds coarse members and boundary portals)")
+		lod          = flag.Int("lod", 0, "se sharded: total LOD levels including the fine grid (0 or 1 = the fine grid alone, a single-level hierarchy; 2+ adds coarse members and boundary portals)")
 		portalsEdge  = flag.Int("portals-per-edge", 0, "se sharded with -lod: boundary portals per shared tile edge (0 = default)")
 	)
 	flag.Parse()

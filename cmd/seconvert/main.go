@@ -4,8 +4,11 @@
 // a2a and dynamic containers — load as the flat image, so the rewrite
 // stores them in the zero-parse layout seserve queries straight from the
 // memory-mapped file: O(1) cold start, no decode copies, and a smaller file
-// (cold slabs are deflated). Answers are bit-identical. A container already
-// in the current layout is rewritten byte for byte.
+// (cold slabs are deflated). A multi container written without a hierarchy
+// section gains one (every member at level 0, POI counts from the member
+// bodies); its other sections are copied unchanged. Answers are
+// bit-identical. A container already in the current layout is rewritten
+// byte for byte.
 //
 // Usage:
 //

@@ -23,11 +23,11 @@
 //	sequery -oracle index.sedx -isochrone 150 -s 3             (reachability)
 //	sequery -oracle index.sedx -isochrone 150 -s 3 -geojson    (with contour)
 //
-// A multi (sharded) container holds several member indexes with
-// member-local ids; pick one with -index (running without it lists the
-// member names). A hierarchical multi (built with sebuild -lod) also
-// answers without -index through its global id space — cross-tile pairs
-// stitch through boundary portals or the coarse level transparently.
+// A multi (sharded) container answers in its global id space: the tiles'
+// POIs concatenated in tile order. Cross-tile pairs stitch through boundary
+// portals or the coarse level (sebuild -lod) or, in a single-level
+// container, fail naming both members. -index addresses one member with
+// its local ids instead.
 package main
 
 import (
@@ -47,7 +47,7 @@ import (
 func main() {
 	var (
 		oraclePath = flag.String("oracle", "oracle.se", "serialized index container")
-		indexName  = flag.String("index", "", "member name to query inside a multi container")
+		indexName  = flag.String("index", "", "multi container: query this member with its local ids (default: the container's global ids)")
 		s          = flag.Int("s", -1, "source endpoint id")
 		t          = flag.Int("t", -1, "target endpoint id")
 		sx         = flag.Float64("sx", 0, "source x (with -sy; a2a kinds)")
@@ -73,25 +73,14 @@ func main() {
 	if err != nil {
 		fatal("loading index: %v", err)
 	}
-	if sh, ok := idx.(*core.ShardedIndex); ok {
-		if *indexName == "" {
-			// A hierarchical multi routes a global id space: queries stay
-			// on the root index and cross-tile pairs stitch transparently.
-			// A legacy multi has only member-local ids, so -index is
-			// mandatory there.
-			if !sh.SupportsGlobal() {
-				fatal("%s is a multi container with %d members (%s); pick one with -index",
-					*oraclePath, sh.NumMembers(), strings.Join(sh.MemberNames(), ", "))
-			}
-		} else {
-			m, ok := sh.Member(*indexName)
-			if !ok {
-				fatal("no member named %q in %s (members: %s)",
-					*indexName, *oraclePath, strings.Join(sh.MemberNames(), ", "))
-			}
-			idx = m.Index
+	if sh, ok := idx.(*core.ShardedIndex); ok && *indexName != "" {
+		m, ok := sh.Member(*indexName)
+		if !ok {
+			fatal("no member named %q in %s (members: %s)",
+				*indexName, *oraclePath, strings.Join(sh.MemberNames(), ", "))
 		}
-	} else if *indexName != "" {
+		idx = m.Index
+	} else if !ok && *indexName != "" {
 		fatal("-index addresses members of a multi container; %s holds a single %s index",
 			*oraclePath, idx.Stats().Kind)
 	}

@@ -134,10 +134,9 @@ func main() {
 		st.Points, st.Epsilon, float64(st.MemoryBytes)/(1<<20), float64(st.MappedBytes)/(1<<20))
 	if sh, ok := idx.(*core.ShardedIndex); ok {
 		fmt.Printf("seserve: %d members: %s\n", sh.NumMembers(), strings.Join(sh.MemberNames(), ", "))
-		if ts, ok := sh.TileStats(); ok {
-			fmt.Printf("seserve: hierarchy: %d levels, %d portals, %d/%d members resident (budget %d bytes)\n",
-				ts.Levels, ts.Portals, ts.Resident, ts.Members, ts.BudgetBytes)
-		}
+		ts, _ := sh.TileStats()
+		fmt.Printf("seserve: hierarchy: %d levels, %d portals, %d/%d members resident (budget %d bytes)\n",
+			ts.Levels, ts.Portals, ts.Resident, ts.Members, ts.BudgetBytes)
 	}
 	for _, q := range quarantined {
 		fmt.Printf("seserve: DEGRADED: member %q quarantined: %v\n", q.Name, q.Err)

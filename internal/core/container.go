@@ -81,7 +81,10 @@ func init() {
 	RegisterKind(KindSE, decodeSEContainer)
 	RegisterKind(KindA2A, decodeA2AContainer)
 	RegisterKind(KindDynamic, decodeDynamicContainer)
-	RegisterKind(KindMulti, decodeMultiContainer)
+	RegisterKind(KindMulti, func(secs map[uint32][]byte) (DistanceIndex, error) {
+		idx, _, err := decodeMulti(secs, multiLoadConfig{verify: true})
+		return idx, err
+	})
 	RegisterKind(KindFlat, decodeFlatContainer)
 }
 
@@ -371,11 +374,13 @@ type Quarantined struct {
 // served. The outer CRC footer is advisory in this mode — a mismatch is
 // expected when a member body holds flipped bits — but a mismatch that NO
 // quarantined member explains means the corruption sits in unverified
-// shared state (manifest, shared mesh), and the load fails rather than
-// serve silently wrong routing. Degradation granularity is the member
-// body: damage to the envelope framing, the manifest or the shared mesh is
-// fatal. Non-multi containers have no members to degrade to, so
-// LoadDegraded behaves exactly like Load for them.
+// shared state (manifest, hierarchy, shared mesh), and the load fails
+// rather than serve silently wrong routing. Degradation granularity is the
+// member body: damage to the envelope framing, the manifest, the hierarchy
+// or the shared mesh is fatal, and so is any member damage in a container
+// without a hierarchy section, whose member bodies define its global ids.
+// Non-multi containers have no members to degrade to, so LoadDegraded
+// behaves exactly like Load for them.
 func LoadDegraded(r io.Reader) (DistanceIndex, []Quarantined, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
@@ -396,7 +401,7 @@ func LoadDegraded(r io.Reader) (DistanceIndex, []Quarantined, error) {
 		idx, err := decodeKind(kind, secs)
 		return idx, nil, err
 	}
-	idx, quarantined, err := decodeMulti(secs, true, nil)
+	idx, quarantined, err := decodeMulti(secs, multiLoadConfig{tolerant: true, verify: true})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: decoding multi container: %w", err)
 	}
@@ -553,7 +558,7 @@ func loadBytesCfg(data []byte, cfg multiLoadConfig) (DistanceIndex, []Quarantine
 		}
 		return o, nil, nil
 	case KindMulti:
-		idx, quarantined, err := decodeMultiCfg(secs, cfg)
+		idx, quarantined, err := decodeMulti(secs, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: decoding multi container: %w", err)
 		}

@@ -113,7 +113,7 @@ func FuzzDecode(f *testing.F) {
 	// manifest (names, bboxes, member-count) plus two nested member bodies
 	// to mutate — duplicate names, overlapping/empty/inverted bboxes,
 	// member-count lies and truncation all start one bit flip away.
-	sh, err := BuildShardedSE(eng, m, pois, 2, Options{Epsilon: 0.3, Seed: 606})
+	sh, err := BuildShardedLOD(eng, m, pois, 2, LODOptions{Options: Options{Epsilon: 0.3, Seed: 606}})
 	if err != nil {
 		f.Fatal(err)
 	}

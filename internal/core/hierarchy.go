@@ -12,26 +12,27 @@ import (
 	"seoracle/internal/terrain"
 )
 
-// hierarchy.go — the LOD shard hierarchy of a multi container. A hierarchical
-// multi extends the flat member grid of sharded.go with two optional
-// sections:
+// hierarchy.go — the LOD shard hierarchy every multi container carries. It
+// extends the member grid of sharded.go with two sections:
 //
 //   - secHierarchy tags every manifest member with an LOD level, a parent
 //     link, and its addressable (real) POI count. Level-0 members are the
 //     fine tiles; their real POIs concatenated in manifest order form the
-//     index's *global id space*, so id-addressed queries no longer need a
-//     member name. Members at level > 0 are coarse tiles (site-based A2A
-//     oracles spanning many fine tiles) that answer long-range cross-tile
-//     queries; they expose no ids of their own (npois = 0).
-//   - secPortals lists boundary portals: surface points on shared fine-tile
-//     edges that were appended to BOTH adjacent tiles' POI lists at build
-//     time (after the real POIs, so they stay out of the global id space). A
-//     short-range query straddling two adjacent tiles is answered as
-//     min over shared portals p of Q(s, p_A) + Q(p_B, t).
+//     index's *global id space*, so id-addressed queries need no member
+//     name. Members at level > 0 are coarse tiles (site-based A2A oracles
+//     spanning many fine tiles) that answer long-range cross-tile queries;
+//     they expose no ids of their own (npois = 0).
+//   - secPortals (optional) lists boundary portals: surface points on shared
+//     fine-tile edges that were appended to BOTH adjacent tiles' POI lists
+//     at build time (after the real POIs, so they stay out of the global id
+//     space). A short-range query straddling two adjacent tiles is answered
+//     as min over shared portals p of Q(s, p_A) + Q(p_B, t).
 //
-// Legacy containers carry neither section and keep their exact semantics: a
-// single-level hierarchy whose cross-member queries fail with a structured
-// CrossMemberError naming both members.
+// A container without coarse members is a single-level hierarchy: every
+// member at level 0, no parents, no portals. Its cross-member queries fail
+// with a structured CrossMemberError naming both members. Containers
+// written before every multi carried a hierarchy section load as that shape,
+// with each member's POI count taken from its body.
 //
 // Hierarchy section layout: count int64 (must equal the manifest count),
 // then per member level uint16, parent int32, npois int64. Portal section
@@ -57,16 +58,16 @@ type PortalLink struct {
 	IDA, IDB int32
 }
 
-// ErrMemberFault marks a lazy member whose body failed to decode on first
-// touch (the degraded-lazy analogue of a load-time quarantine). The serving
-// layer maps it to 503, like a quarantined member.
+// ErrMemberFault marks a query that needs a member this process cannot
+// serve: a lazy member whose body failed to decode on first touch, or a
+// member absent from a degraded index (quarantined at load, or removed by
+// Without). The serving layer maps it to 503.
 var ErrMemberFault = errors.New("core: member fault")
 
 // CrossMemberError reports a query whose endpoints land in different members
-// of a multi index that has no portal or coarse-level route between them —
-// the structured form of the old opaque member-addressing error, carrying
-// both member names so the serving layer can answer 422 with actionable
-// detail.
+// of a multi index that has no portal or coarse-level route between them,
+// carrying both member names so the serving layer can answer 422 with
+// actionable detail.
 type CrossMemberError struct {
 	// SMember and TMember name the members owning the source and target
 	// endpoints.
@@ -98,7 +99,7 @@ type hierMeta struct {
 
 // buildHierMeta validates the hierarchy arrays against the manifest and
 // derives the routing tables. It is the single validation path shared by the
-// decoder and the streaming builder.
+// decoder, the builders and NewShardedIndex.
 func buildHierMeta(levels []uint16, parents []int32, npois []int64, portals []PortalLink, bboxes []BBox2D) (*hierMeta, error) {
 	count := len(levels)
 	if count == 0 || len(parents) != count || len(npois) != count || len(bboxes) != count {
@@ -120,8 +121,8 @@ func buildHierMeta(levels []uint16, parents []int32, npois []int64, portals []Po
 			}
 		}
 		if levels[i] == 0 {
-			if npois[i] < 1 || npois[i] > 1<<31 {
-				return nil, fmt.Errorf("level-0 member %d declares %d POIs (want 1..2^31)", i, npois[i])
+			if npois[i] < 0 || npois[i] > 1<<31 {
+				return nil, fmt.Errorf("level-0 member %d declares %d POIs (want 0..2^31)", i, npois[i])
 			}
 			h.fineOrd = append(h.fineOrd, int32(i))
 			b := bboxes[i]
@@ -189,6 +190,17 @@ func buildHierMeta(levels []uint16, parents []int32, npois []int64, portals []Po
 		h.expectPts[ord] = -1
 	}
 	return h, nil
+}
+
+// singleLevel is the hierarchy of a container without coarse members:
+// every member at level 0 with npois[i] ids, no parents and no portals.
+func singleLevel(npois []int64, bboxes []BBox2D) (*hierMeta, error) {
+	levels := make([]uint16, len(npois))
+	parents := make([]int32, len(npois))
+	for i := range parents {
+		parents[i] = -1
+	}
+	return buildHierMeta(levels, parents, npois, nil, bboxes)
 }
 
 // portalCount returns how many portals were appended to ordinal ord's POI
@@ -325,29 +337,14 @@ func decodePortalsSec(payload []byte) ([]PortalLink, error) {
 
 // --- global id space ----------------------------------------------------------
 
-// SupportsGlobal reports whether id-addressed queries on the multi index may
-// use the global id space: the container carried a hierarchy section, so
-// every level-0 member's POI count is known without decoding it.
-func (sh *ShardedIndex) SupportsGlobal() bool {
-	return sh.hier != nil && sh.hier.total > 0 && len(sh.members) > 1
-}
-
 // NumGlobalIDs returns the size of the global id space (the level-0 members'
-// real POIs, concatenated in manifest order), or 0 for a legacy multi.
-func (sh *ShardedIndex) NumGlobalIDs() int {
-	if sh.hier == nil {
-		return 0
-	}
-	return int(sh.hier.total)
-}
+// real POIs, concatenated in manifest order).
+func (sh *ShardedIndex) NumGlobalIDs() int { return int(sh.hier.total) }
 
 // GlobalID maps a member name and member-local POI id to the global id, or
-// false when the index has no hierarchy, the member is unknown or coarse, or
-// the local id is a portal or out of range.
+// false when the member is unknown or coarse, or the local id is a portal or
+// out of range.
 func (sh *ShardedIndex) GlobalID(member string, local int32) (int32, bool) {
-	if sh.hier == nil {
-		return 0, false
-	}
 	k, ok := sh.byName[member]
 	if !ok {
 		return 0, false
@@ -365,9 +362,9 @@ func (sh *ShardedIndex) GlobalID(member string, local int32) (int32, bool) {
 }
 
 // MemberOf maps a global id to its owning member name and member-local id,
-// or false when the index has no hierarchy or the id is out of range.
+// or false when the id is out of range.
 func (sh *ShardedIndex) MemberOf(global int32) (string, int32, bool) {
-	if sh.hier == nil || global < 0 || int64(global) >= sh.hier.total {
+	if global < 0 || int64(global) >= sh.hier.total {
 		return "", 0, false
 	}
 	j := sort.Search(len(sh.hier.fineOrd), func(i int) bool { return sh.hier.fineBase[i+1] > int64(global) })
@@ -375,9 +372,9 @@ func (sh *ShardedIndex) MemberOf(global int32) (string, int32, bool) {
 }
 
 // resolveGlobal maps a global id to (member slice index, local id). A global
-// id owned by a quarantined member resolves to an error naming it — the id
-// space is a function of the manifest, not of load health, so ids stay
-// stable across degraded loads.
+// id owned by an absent member resolves to an ErrMemberFault naming it —
+// the id space is a function of the manifest, not of load health, so ids
+// stay stable across degraded loads.
 func (sh *ShardedIndex) resolveGlobal(id int32) (int, int32, error) {
 	h := sh.hier
 	if id < 0 || int64(id) >= h.total {
@@ -387,7 +384,7 @@ func (sh *ShardedIndex) resolveGlobal(id int32) (int, int32, error) {
 	ord := h.fineOrd[j]
 	k := sh.memAt[ord]
 	if k < 0 {
-		return 0, 0, fmt.Errorf("core: POI id %d belongs to quarantined member %q", id, sh.ordName[ord])
+		return 0, 0, fmt.Errorf("%w: POI id %d belongs to quarantined member %q", ErrMemberFault, id, sh.ordName[ord])
 	}
 	return k, id - int32(h.fineBase[j]), nil
 }
@@ -626,26 +623,21 @@ type TileStats struct {
 	CoarseQueries int64 `json:"coarse_queries"`
 }
 
-// TileStats reports the hierarchy and resident-set counters. ok is false for
-// a plain eager single-level multi, which has nothing beyond Stats to report.
+// TileStats reports the hierarchy and resident-set counters; ok is always
+// true.
 func (sh *ShardedIndex) TileStats() (TileStats, bool) {
-	if sh.hier == nil && sh.rs == nil {
-		return TileStats{}, false
-	}
 	ts := TileStats{
 		Members:       len(sh.members),
 		Levels:        1,
+		Portals:       len(sh.hier.portals),
 		PortalQueries: sh.portalQueries.Load(),
 		CoarseQueries: sh.coarseQueries.Load(),
 	}
-	if sh.hier != nil {
-		ts.Portals = len(sh.hier.portals)
-		seen := uint16(0)
-		for _, ord := range sh.hier.coarseOrd {
-			if lv := sh.hier.levels[ord]; lv != seen {
-				seen = lv
-				ts.Levels++
-			}
+	seen := uint16(0)
+	for _, ord := range sh.hier.coarseOrd {
+		if lv := sh.hier.levels[ord]; lv != seen {
+			seen = lv
+			ts.Levels++
 		}
 	}
 	if sh.rs != nil {
@@ -666,59 +658,17 @@ func (sh *ShardedIndex) TileStats() (TileStats, bool) {
 	return ts, true
 }
 
-// globalQuery answers an id-addressed query in the global id space:
-// same-member pairs delegate to the owning member, cross-member pairs route
-// through portals or the coarse level.
-func (sh *ShardedIndex) globalQuery(s, t int32) (float64, error) {
-	ka, la, err := sh.resolveGlobal(s)
-	if err != nil {
-		return 0, err
-	}
-	kb, lb, err := sh.resolveGlobal(t)
-	if err != nil {
-		return 0, err
-	}
-	if ka == kb {
-		return sh.members[ka].Index.Query(la, lb)
-	}
-	return sh.crossQuery(ka, la, kb, lb)
-}
-
-// globalQueryPath is globalQuery's path-reporting form.
-func (sh *ShardedIndex) globalQueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) {
-	ka, la, err := sh.resolveGlobal(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	kb, lb, err := sh.resolveGlobal(t)
-	if err != nil {
-		return nil, 0, err
-	}
-	if ka == kb {
-		pi, ok := sh.members[ka].Index.(PathIndex)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: member %q reports no paths", sh.members[ka].Name)
-		}
-		return pi.QueryPath(la, lb)
-	}
-	return sh.crossPath(ka, la, kb, lb)
-}
-
-// memberNearest answers one member's Nearest. On a hierarchical index the
-// member's synthetic portal POIs are filtered out (they are routing
-// infrastructure, not indexed endpoints): enough neighbors are requested to
-// step over every portal.
+// memberNearest answers one member's Nearest. The member's synthetic portal
+// POIs are filtered out (they are routing infrastructure, not indexed
+// endpoints): enough neighbors are requested to step over every portal.
 func (sh *ShardedIndex) memberNearest(k int, x, y float64) (int32, terrain.SurfacePoint, float64, error) {
 	m := sh.members[k]
-	if sh.hier != nil {
-		ord := int32(sh.ord[k])
-		if pc := sh.hier.portalCount(ord); pc > 0 {
-			ns, err := sh.memberNearestK(k, x, y, 1)
-			if err != nil {
-				return -1, terrain.SurfacePoint{}, 0, err
-			}
-			return ns[0].ID, ns[0].At, ns[0].Planar, nil
+	if sh.hier.portalCount(int32(sh.ord[k])) > 0 {
+		ns, err := sh.memberNearestK(k, x, y, 1)
+		if err != nil {
+			return -1, terrain.SurfacePoint{}, 0, err
 		}
+		return ns[0].ID, ns[0].At, ns[0].Planar, nil
 	}
 	nf, ok := m.Index.(NearestFinder)
 	if !ok {
@@ -735,26 +685,18 @@ func (sh *ShardedIndex) memberNearestK(k int, x, y float64, want int) ([]Neighbo
 	if !ok {
 		return nil, fmt.Errorf("core: member %q answers no nearest-k queries", m.Name)
 	}
-	ask := want
-	var npois int64 = -1
-	if sh.hier != nil {
-		ord := int32(sh.ord[k])
-		npois = sh.hier.npois[ord]
-		ask += int(sh.hier.portalCount(ord))
-	}
-	ns, err := nf.NearestK(x, y, ask)
+	ord := int32(sh.ord[k])
+	ns, err := nf.NearestK(x, y, want+int(sh.hier.portalCount(ord)))
 	if err != nil {
 		return nil, err
 	}
-	if npois >= 0 {
-		kept := ns[:0]
-		for _, n := range ns {
-			if int64(n.ID) < npois {
-				kept = append(kept, n)
-			}
+	kept := ns[:0]
+	for _, n := range ns {
+		if int64(n.ID) < sh.hier.npois[ord] {
+			kept = append(kept, n)
 		}
-		ns = kept
 	}
+	ns = kept
 	if len(ns) > want {
 		ns = ns[:want]
 	}
@@ -798,36 +740,26 @@ func (sh *ShardedIndex) Project(x, y float64) (terrain.SurfacePoint, bool) {
 			return p, true
 		}
 	}
-	if sh.hier != nil {
-		if pi, err := sh.coarseFor(0); err == nil {
-			return pi.Project(x, y)
-		}
+	if pi, err := sh.coarseFor(0); err == nil {
+		return pi.Project(x, y)
 	}
 	return terrain.SurfacePoint{}, false
 }
 
 // QueryXY answers the planar-coordinate query form. Part of PointIndex.
 func (sh *ShardedIndex) QueryXY(sx, sy, tx, ty float64) (float64, error) {
-	if len(sh.members) == 1 {
-		if pi, ok := sh.members[0].Index.(PointIndex); ok {
-			return pi.QueryXY(sx, sy, tx, ty)
-		}
-		return 0, fmt.Errorf("core: member %q (kind %s) answers no point queries", sh.members[0].Name, sh.members[0].Index.Stats().Kind)
-	}
 	ms, mt, same := sh.coordLocate(sx, sy, tx, ty)
 	if same {
 		if pi, ok := ms.Index.(PointIndex); ok {
 			return pi.QueryXY(sx, sy, tx, ty)
 		}
 	}
-	if sh.hier != nil {
-		if pi, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
-			d, qerr := pi.QueryXY(sx, sy, tx, ty)
-			if qerr == nil {
-				sh.coarseQueries.Add(1)
-			}
-			return d, qerr
+	if pi, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
+		d, qerr := pi.QueryXY(sx, sy, tx, ty)
+		if qerr == nil {
+			sh.coarseQueries.Add(1)
 		}
+		return d, qerr
 	}
 	if same {
 		return 0, fmt.Errorf("core: member %q (kind %s) answers no point queries", ms.Name, ms.Index.Stats().Kind)
@@ -845,27 +777,19 @@ func (sh *ShardedIndex) QueryPathPoints(s, t terrain.SurfacePoint) ([]terrain.Su
 // QueryPathXY reports the surface path between planar coordinates through
 // the owning member or the coarse level. Part of PointPathIndex.
 func (sh *ShardedIndex) QueryPathXY(sx, sy, tx, ty float64) ([]terrain.SurfacePoint, float64, error) {
-	if len(sh.members) == 1 {
-		if pi, ok := sh.members[0].Index.(PointPathIndex); ok {
-			return pi.QueryPathXY(sx, sy, tx, ty)
-		}
-		return nil, 0, fmt.Errorf("core: member %q (kind %s) reports no point paths", sh.members[0].Name, sh.members[0].Index.Stats().Kind)
-	}
 	ms, mt, same := sh.coordLocate(sx, sy, tx, ty)
 	if same {
 		if pi, ok := ms.Index.(PointPathIndex); ok {
 			return pi.QueryPathXY(sx, sy, tx, ty)
 		}
 	}
-	if sh.hier != nil {
-		if pi, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
-			if pp, ok := pi.(PointPathIndex); ok {
-				path, d, qerr := pp.QueryPathXY(sx, sy, tx, ty)
-				if qerr == nil {
-					sh.coarseQueries.Add(1)
-				}
-				return path, d, qerr
+	if pi, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
+		if pp, ok := pi.(PointPathIndex); ok {
+			path, d, qerr := pp.QueryPathXY(sx, sy, tx, ty)
+			if qerr == nil {
+				sh.coarseQueries.Add(1)
 			}
+			return path, d, qerr
 		}
 	}
 	if same {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"seoracle/internal/gen"
+	"seoracle/internal/geodesic"
 	"seoracle/internal/terrain"
 )
 
@@ -67,9 +69,6 @@ func maxPortalSpacing(sh *ShardedIndex, per int) float64 {
 func TestLODBuildShape(t *testing.T) {
 	w := newTestWorld(t, 11, 30, 41)
 	sh := buildLOD(t, w, 4, lodOpt(0.2, 42))
-	if !sh.SupportsGlobal() {
-		t.Fatal("hierarchical index must support global ids")
-	}
 	if got := sh.NumGlobalIDs(); got != len(w.pois) {
 		t.Fatalf("global id space %d, want %d (the real POIs)", got, len(w.pois))
 	}
@@ -300,7 +299,7 @@ func TestLODDeterministicEncode(t *testing.T) {
 	if !bytes.Equal(residentFlat.Bytes(), streamedFlat.Bytes()) {
 		t.Fatal("streamed flat container differs from ConvertFlat + EncodeTo")
 	}
-	// The plain (non-hierarchical) streaming path must equal BuildShardedSE.
+	// The single-level streaming path must equal the resident build.
 	var plainResident, plainStream bytes.Buffer
 	plain := buildSharded(t, w, 4, opt.Options)
 	if err := plain.EncodeTo(&plainResident); err != nil {
@@ -310,7 +309,7 @@ func TestLODDeterministicEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plainResident.Bytes(), plainStream.Bytes()) {
-		t.Fatal("plain streamed container differs from BuildShardedSE + EncodeTo")
+		t.Fatal("single-level streamed container differs from BuildShardedLOD + EncodeTo")
 	}
 }
 
@@ -481,13 +480,14 @@ func TestLODEvictionSoak(t *testing.T) {
 	}
 }
 
-// Legacy multis keep their exact semantics: member-local ids, and straddling
-// coordinate queries fail with the structured CrossMemberError.
+// A single-level multi answers in global ids too, but has no route between
+// members: straddling coordinate queries fail with the structured
+// CrossMemberError.
 func TestLegacyCrossMemberError(t *testing.T) {
 	w := newTestWorld(t, 11, 24, 57)
 	sh := buildSharded(t, w, 4, Options{Epsilon: 0.25, Seed: 58})
-	if sh.SupportsGlobal() || sh.NumGlobalIDs() != 0 {
-		t.Fatal("legacy multi must not claim a global id space")
+	if sh.NumGlobalIDs() != len(w.pois) {
+		t.Fatalf("single-level multi holds %d global ids, want %d", sh.NumGlobalIDs(), len(w.pois))
 	}
 	// Find two POIs in different members.
 	var a, b terrain.SurfacePoint
@@ -619,6 +619,41 @@ func TestLODDegradedLoad(t *testing.T) {
 	if err := dsh.EncodeTo(&bytes.Buffer{}); err == nil {
 		t.Fatal("degraded hierarchical index must refuse to re-encode")
 	}
+
+	// Without serves exactly what the tolerant load serves: the same id
+	// space and, for every pair (same-tile, portal and coarse routes alike),
+	// the same answer bits or an ErrMemberFault for the removed tile. Its
+	// receiver is unchanged.
+	removed, err := sh.Without(badName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Without("nope"); err == nil {
+		t.Fatal("Without accepted an unknown member")
+	}
+	if removed.NumGlobalIDs() != dsh.NumGlobalIDs() || removed.NumMembers() != dsh.NumMembers() {
+		t.Fatalf("Without: %d ids over %d members, tolerant load: %d over %d",
+			removed.NumGlobalIDs(), removed.NumMembers(), dsh.NumGlobalIDs(), dsh.NumMembers())
+	}
+	n := int32(sh.NumGlobalIDs())
+	for s := int32(0); s < n; s++ {
+		for q := int32(0); q < n; q++ {
+			want, werr := dsh.Query(s, q)
+			got, gerr := removed.Query(s, q)
+			if (werr == nil) != (gerr == nil) || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("(%d,%d): Without %g/%v, tolerant load %g/%v", s, q, got, gerr, want, werr)
+			}
+			if gerr != nil && !errors.Is(gerr, ErrMemberFault) {
+				t.Fatalf("(%d,%d) on the removed tile: %v, want ErrMemberFault", s, q, gerr)
+			}
+		}
+	}
+	if err := removed.EncodeTo(&bytes.Buffer{}); err == nil {
+		t.Fatal("Without's result must refuse to re-encode")
+	}
+	if _, err := sh.Query(0, n-1); err != nil {
+		t.Fatalf("Without changed its receiver: %v", err)
+	}
 }
 
 // Hierarchy/portal damage must be a load-time error in every mode — strict,
@@ -726,5 +761,60 @@ func TestLODLazyFaultSticky(t *testing.T) {
 	ts, _ := lsh.TileStats()
 	if ts.Faults != 0 {
 		t.Fatalf("failed faults must not count as admissions, got %d", ts.Faults)
+	}
+}
+
+// TestLODBuildAsymmetricSSAD is the regression for a tiled build that failed
+// with "no parent found … (covering property violated)": the exact SSAD is
+// asymmetric by ~6e-9 relative, so the radius-bounded parent search from a
+// POI missed a previous-layer center sitting right at 2·r_i. With both
+// portal densities every fine tile of the 2-level plan must build, pass
+// CheckInvariants, and answer every pair of its real POIs within (1±ε) of
+// the exact distance. The coarse member, which was never affected, is not
+// built: it would cost the -race suite more than the rest of the test.
+func TestLODBuildAsymmetricSSAD(t *testing.T) {
+	m, err := gen.Fractal(gen.FractalSpec{NX: 9, NY: 9, CellDX: 30, Amp: 220, Seed: 1701})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pois, err := gen.UniformPOIs(m, 12, 1702)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := geodesic.NewExact(m)
+	opt := Options{Epsilon: 0.25, Seed: 1}
+	for _, per := range []int{2, 8} {
+		pl, err := planSharded(m, pois, 4, LODOptions{Options: opt, Levels: 2, PortalsPerEdge: per})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := 0
+		for i, tile := range pl.tiles {
+			idx, err := pl.buildMember(eng, m, i, opt)
+			if err != nil {
+				t.Fatalf("%d portals per edge: %v", per, err)
+			}
+			o := idx.(*Oracle)
+			if err := o.CheckInvariants(); err != nil {
+				t.Fatalf("%d portals per edge: %s: %v", per, tile.name, err)
+			}
+			for s := 0; s < int(tile.npois); s++ {
+				exact := eng.DistancesTo(tile.pois[s], tile.pois[:tile.npois], geodesic.Stop{CoverTargets: true})
+				for q := s + 1; q < int(tile.npois); q++ {
+					d, err := o.Query(int32(s), int32(q))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d < (1-opt.Epsilon)*exact[q] || d > (1+opt.Epsilon)*exact[q] {
+						t.Fatalf("%d portals per edge: %s pair (%d,%d) = %g, exact %g, outside (1±%g)",
+							per, tile.name, s, q, d, exact[q], opt.Epsilon)
+					}
+					pairs++
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("%d portals per edge: no same-tile pair checked", per)
+		}
 	}
 }

@@ -102,9 +102,8 @@ type IndexStats struct {
 	// fields aggregate the members (sums; max for Height and Epsilon).
 	Members int `json:"members,omitempty"`
 
-	// Hierarchical multi (KindMulti with an LOD hierarchy) resident-set and
-	// routing counters; zero on legacy flat-grid multis. See TileStats for
-	// the full observability block.
+	// Multi (KindMulti) resident-set and cross-tile routing counters. See
+	// TileStats for the full observability block.
 	TilesResident   int   `json:"tiles_resident,omitempty"`
 	TileBudgetBytes int64 `json:"tile_budget_bytes,omitempty"`
 	TileFaults      int64 `json:"tile_faults,omitempty"`

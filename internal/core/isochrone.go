@@ -24,8 +24,8 @@ type Reached struct {
 
 // Reachability is a DistanceIndex that answers reachability queries:
 // Reachable returns every indexed endpoint within a surface-distance budget
-// of a source endpoint. Implemented by every engine; a sharded index
-// delegates through its sole member (ids are member-local).
+// of a source endpoint. Implemented by every engine; a sharded index scans
+// its global id space.
 type Reachability interface {
 	DistanceIndex
 	// Reachable returns every indexed endpoint t with Query(src, t) <= d,
@@ -85,27 +85,15 @@ func (dy *DynamicOracle) Reachable(src int32, d float64) ([]Reached, error) {
 	return reachableScan(dy, dy.LiveIDs(), func(id int32) terrain.SurfacePoint { return dy.pois[id] }, src, d)
 }
 
-// Reachable answers through the sole member when exactly one exists. A
-// hierarchical index scans the whole global id space — every candidate
-// routes like Query, so an isochrone may spill across tile boundaries. A
-// legacy flat-grid multi keeps the old contract: ids are member-local and
-// the caller must address a member first. Part of the Reachability
-// interface.
+// Reachable scans the whole global id space — every candidate routes like
+// Query, so an isochrone may spill across tile boundaries wherever the
+// container has a cross-member route. Part of the Reachability interface.
 func (sh *ShardedIndex) Reachable(src int32, d float64) ([]Reached, error) {
-	if len(sh.members) == 1 {
-		if ri, ok := sh.members[0].Index.(Reachability); ok {
-			return ri.Reachable(src, d)
-		}
-		return nil, fmt.Errorf("core: member %q answers no reachability queries", sh.members[0].Name)
+	ids := make([]int32, sh.hier.total)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	if sh.hier != nil {
-		ids := make([]int32, sh.hier.total)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		return reachableScan(sh, ids, sh.globalPoint, src, d)
-	}
-	return nil, fmt.Errorf("core: multi index holds %d members; address one by name (ids are member-local)", len(sh.members))
+	return reachableScan(sh, ids, sh.globalPoint, src, d)
 }
 
 // PlanarHull returns the convex hull of the points' planar (x, y)

@@ -139,9 +139,9 @@ type lazyMember struct {
 	payload []byte
 	keep    any // retained by zero-copy (flat) bodies; see LoadBytes
 
-	// npois is the hierarchy's real-POI count (level-0 members), -1 when
-	// the container has no hierarchy section. expectPts additionally counts
-	// appended portals; -1 disables the fault-time point check.
+	// npois is the hierarchy's real-POI count (0 for coarse members).
+	// expectPts additionally counts appended portals; -1 (coarse members)
+	// disables the fault-time point check.
 	npois     int64
 	expectPts int64
 
@@ -186,9 +186,8 @@ func (lm *lazyMember) fault() (DistanceIndex, error) {
 	return idx, nil
 }
 
-// decode is the fault-time body of decodeMultiCfg's eager per-member
-// validation: decode, kind check, nesting check, shared-mesh attach, and
-// the hierarchy's point-count check.
+// decode is the fault-time form of decodeMulti's eager per-member
+// validation: decode, the checkMember checks, and the shared-mesh attach.
 func (lm *lazyMember) decode() (DistanceIndex, error) {
 	// A fault already pays a decode; checking the member's CRC here means
 	// a damaged tile fails on first touch instead of serving bad answers.
@@ -196,22 +195,14 @@ func (lm *lazyMember) decode() (DistanceIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, nested := idx.(*ShardedIndex); nested {
-		return nil, fmt.Errorf("member is itself a multi index (nesting unsupported)")
-	}
-	if got := idx.Stats().Kind; got != servedKind(lm.kind) {
-		return nil, fmt.Errorf("manifest says kind %s, body holds %s", lm.kind, got)
+	if err := checkMember(idx, lm.kind, lm.expectPts); err != nil {
+		return nil, err
 	}
 	shared, err := lm.rs.sharedMesh()
 	if err != nil {
 		return nil, err
 	}
 	adoptShared(idx, shared)
-	if lm.expectPts >= 0 {
-		if got := idx.Stats().Points; int64(got) != lm.expectPts {
-			return nil, fmt.Errorf("hierarchy expects %d points (%d POIs + portals), body holds %d", lm.expectPts, lm.npois, got)
-		}
-	}
 	return idx, nil
 }
 

@@ -13,16 +13,18 @@ import (
 	"seoracle/internal/terrain"
 )
 
-// legacy_test.go — containers written in the decoded se layout, which
-// nothing writes any more, must keep loading and answering exactly as the
-// code that wrote them did. testdata/legacy holds one container of each
-// affected shape — an se container, an a2a and a dynamic container with a
-// decoded inner body, and a hierarchical multi of se tiles (plus a coarse
-// a2a member) — and answers.json pins their Query and QueryPath answers as
-// Float64bits, recorded by the writing code.
+// legacy_test.go — containers in layouts nothing writes any more must keep
+// loading and answering exactly as the code that wrote them did.
+// testdata/legacy holds one container of each affected shape — an se
+// container, an a2a and a dynamic container with a decoded inner body, a
+// hierarchical multi of se tiles (plus a coarse a2a member), and a 2-tile
+// multi with no hierarchy section ("grid") — and answers.json pins their
+// Query and QueryPath answers as Float64bits, recorded by the writing code.
+// The grid's answers are pinned per member ("grid/<member>", member-local
+// ids), since the code that wrote it had no global id space.
 
 // legacyFixtures names the committed fixtures (testdata/legacy/<name>.sedx).
-var legacyFixtures = []string{"se", "a2a", "dynamic", "multi"}
+var legacyFixtures = []string{"se", "a2a", "dynamic", "multi", "grid"}
 
 func readLegacyFixture(t testing.TB, name string) []byte {
 	t.Helper()
@@ -102,8 +104,9 @@ func pathDigest(path []terrain.SurfacePoint) uint64 {
 // TestLegacyFixturesLoad: every legacy fixture loads through Load,
 // LoadBytes and (multi) a budgeted lazy LoadBytesOpts as the current types
 // — SE oracles as the flat image — and answers bit-identically to the
-// pinned answers; so does its eager re-encoding in the current layout,
-// which is what seconvert writes.
+// pinned answers; so does its re-encoding in the current layout, which is
+// what seconvert writes. The grid loads as a single-level hierarchy: global
+// id g answers bit-identically to the member-local pair MemberOf(g) names.
 func TestLegacyFixturesLoad(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "legacy", "answers.json"))
 	if err != nil {
@@ -115,9 +118,12 @@ func TestLegacyFixturesLoad(t *testing.T) {
 	}
 	for _, name := range legacyFixtures {
 		blob := readLegacyFixture(t, name)
-		want := pinned[name]
-		if len(want) == 0 {
-			t.Fatalf("%s: no pinned answers", name)
+		check := func(label string, idx DistanceIndex) {
+			if name == "grid" {
+				checkGridAnswers(t, label, idx.(*ShardedIndex), pinned)
+				return
+			}
+			checkLegacyAnswers(t, label, idx, pinned[name])
 		}
 		loaders := map[string]func([]byte) (DistanceIndex, error){
 			"Load": func(b []byte) (DistanceIndex, error) { return Load(bytes.NewReader(b)) },
@@ -125,7 +131,7 @@ func TestLegacyFixturesLoad(t *testing.T) {
 				return LoadBytes(append([]byte(nil), b...), nil)
 			},
 		}
-		if name == "multi" {
+		if name == "multi" || name == "grid" {
 			loaders["lazy"] = func(b []byte) (DistanceIndex, error) {
 				idx, _, err := LoadBytesOpts(append([]byte(nil), b...), nil, LoadOptions{MemBudget: 1})
 				return idx, err
@@ -137,10 +143,10 @@ func TestLegacyFixturesLoad(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, how, err)
 			}
 			assertServedForm(t, name+"/"+how, idx)
-			checkLegacyAnswers(t, name+"/"+how, idx, want)
+			check(name+"/"+how, idx)
 
 			upgraded := encodeIndex(t, idx)
-			if how == "lazy" {
+			if how == "lazy" && name != "grid" {
 				// Lazy members re-emit their retained bytes verbatim.
 				if !bytes.Equal(upgraded, blob) {
 					t.Fatalf("%s/%s: lazy re-encode not byte-identical", name, how)
@@ -155,9 +161,12 @@ func TestLegacyFixturesLoad(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: loading the re-encoding: %v", name, how, err)
 			}
-			checkLegacyAnswers(t, name+"/"+how+"/re-encoded", again, want)
+			check(name+"/"+how+"/re-encoded", again)
 			if !bytes.Equal(upgraded, encodeIndex(t, again)) {
 				t.Fatalf("%s/%s: the re-encoding does not round-trip byte-identically", name, how)
+			}
+			if name == "grid" {
+				onlyAddsHierarchy(t, name+"/"+how, blob, upgraded)
 			}
 		}
 	}
@@ -194,5 +203,92 @@ func checkLegacyAnswers(t *testing.T, label string, idx DistanceIndex, want []le
 		if got[i] != want[i] {
 			t.Fatalf("%s: answer %d is %+v, pinned %+v", label, i, got[i], want[i])
 		}
+	}
+}
+
+// checkGridAnswers checks the grid fixture's pinned member answers through
+// the global id space: for every pinned member-local pair, MemberOf of the
+// pair's global ids names that member and pair, and Query and QueryPath on
+// the global ids answer bit-identically.
+func checkGridAnswers(t *testing.T, label string, sh *ShardedIndex, pinned map[string][]legacyAnswer) {
+	t.Helper()
+	for _, m := range sh.Members() {
+		want := pinned["grid/"+m.Name]
+		if len(want) == 0 {
+			t.Fatalf("%s: no pinned answers for member %s", label, m.Name)
+		}
+		for i, a := range want {
+			var g [2]int32
+			for j, local := range [2]int32{a.S, a.T} {
+				var ok bool
+				if g[j], ok = sh.GlobalID(m.Name, local); !ok {
+					t.Fatalf("%s: %s local id %d has no global id", label, m.Name, local)
+				}
+				if name, back, ok := sh.MemberOf(g[j]); !ok || name != m.Name || back != local {
+					t.Fatalf("%s: MemberOf(%d) = %s/%d, want %s/%d", label, g[j], name, back, m.Name, local)
+				}
+			}
+			d, err := sh.Query(g[0], g[1])
+			if err != nil {
+				t.Fatalf("%s: Query(%d,%d): %v", label, g[0], g[1], err)
+			}
+			path, plen, err := sh.QueryPath(g[0], g[1])
+			if err != nil {
+				t.Fatalf("%s: QueryPath(%d,%d): %v", label, g[0], g[1], err)
+			}
+			got := legacyAnswer{S: a.S, T: a.T, Query: math.Float64bits(d),
+				PathLen: math.Float64bits(plen), PathPts: len(path), PathHash: pathDigest(path)}
+			if got != a {
+				t.Fatalf("%s: %s answer %d is %+v, pinned %+v", label, m.Name, i, got, a)
+			}
+		}
+	}
+}
+
+// onlyAddsHierarchy checks that re-encoding a container written without a
+// hierarchy section adds exactly that section: every other section is
+// byte-identical.
+func onlyAddsHierarchy(t *testing.T, label string, old, upgraded []byte) {
+	t.Helper()
+	_, before, err := sliceContainer(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, err := sliceContainer(upgraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := before[secHierarchy]; ok {
+		t.Fatalf("%s: the fixture already carries a hierarchy section", label)
+	}
+	if _, ok := after[secHierarchy]; !ok || len(after) != len(before)+1 {
+		t.Fatalf("%s: re-encoding holds %d sections, want the fixture's %d plus a hierarchy section", label, len(after), len(before))
+	}
+	for id, payload := range before {
+		if !bytes.Equal(payload, after[id]) {
+			t.Fatalf("%s: re-encoding changed section %d", label, id)
+		}
+	}
+}
+
+// TestLegacyGridDamageIsFatal: without a hierarchy section the member bodies
+// define the global id space, so a member body that fails to decode fails a
+// tolerant load — eager, stream or lazy — instead of being quarantined.
+func TestLegacyGridDamageIsFatal(t *testing.T) {
+	data := readLegacyFixture(t, "grid")
+	_, secs, err := sliceContainer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := secs[secMemberBase+1]
+	victim[len(victim)/2] ^= 0xff
+	if _, q, err := LoadBytesDegraded(data, nil); err == nil || len(q) != 0 {
+		t.Errorf("LoadBytesDegraded: err %v, %d quarantined; want a load failure", err, len(q))
+	}
+	if _, q, err := LoadDegraded(bytes.NewReader(data)); err == nil || len(q) != 0 {
+		t.Errorf("LoadDegraded: err %v, %d quarantined; want a load failure", err, len(q))
+	}
+	if _, q, err := LoadBytesOpts(data, nil, LoadOptions{Tolerant: true, MemBudget: 1}); err == nil || len(q) != 0 {
+		t.Errorf("lazy tolerant load: err %v, %d quarantined; want a load failure", err, len(q))
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -10,14 +9,14 @@ import (
 	"seoracle/internal/terrain"
 )
 
-// lodbuild.go — construction of hierarchical (LOD) multi containers and the
-// streaming tiled encoder. BuildShardedLOD extends BuildShardedSE's fine SE
-// grid with boundary portals on shared tile edges and one coarse A2A member
-// per extra level; WriteSharded streams either build (hierarchical or plain)
-// straight into a container file one tile at a time,
-// so peak build heap stays ~one tile instead of the whole grid. Both paths
-// run the same plan and the same per-tile builds, so for identical inputs
-// the streamed container is byte-for-byte the resident EncodeTo output.
+// lodbuild.go — construction of tiled multi containers and the streaming
+// tiled encoder. BuildShardedLOD builds a fine SE tile grid and, with more
+// than one level, boundary portals on shared tile edges and one coarse A2A
+// member per extra level; WriteSharded streams the same build straight into
+// a container file one tile at a time, so peak build heap stays ~one tile
+// instead of the whole grid. Both paths run the same plan and the same
+// per-tile builds, so for identical inputs the streamed container is
+// byte-for-byte the resident EncodeTo output.
 
 // DefaultPortalsPerEdge is the boundary-portal density used when
 // LODOptions.PortalsPerEdge is zero: portals per shared fine-tile edge. The
@@ -34,8 +33,8 @@ type LODOptions struct {
 	// any worker count.
 	Options
 	// Levels is the total level count including the fine grid at level 0;
-	// it must be at least 2 (each level above 0 adds one terrain-spanning
-	// coarse A2A member).
+	// each level above 0 adds one terrain-spanning coarse A2A member, and
+	// 0 or 1 builds the fine grid alone (a single-level hierarchy).
 	Levels int
 	// PortalsPerEdge is the number of boundary portals placed on each
 	// shared fine-tile edge (0 = DefaultPortalsPerEdge).
@@ -57,9 +56,12 @@ type tilePlan struct {
 	npois  int64 // real POIs (before portals)
 }
 
-// planFineTiles partitions the POIs over the shards-tile grid exactly as
-// BuildShardedSE always has: row-major tile order, half-open tile
-// membership, empty tiles dropped.
+// planFineTiles partitions the POIs over the shards-tile grid: row-major
+// tile order, half-open tile membership, empty tiles dropped (an SE oracle
+// cannot be empty; the dropped region still routes, because Locate falls
+// back to the planar-closest member bbox). Member names are
+// "tile-<col>-<row>"; each member's manifest bbox is its full tile
+// rectangle (edge tiles extend to the terrain bounds).
 func planFineTiles(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int) ([]tilePlan, error) {
 	if shards < 1 || shards > maxShardMembers {
 		return nil, fmt.Errorf("core: shard count %d out of range [1,%d]", shards, maxShardMembers)
@@ -122,7 +124,7 @@ type shardPlan struct {
 	coarse   []coarsePlan
 	terrBBox BBox2D
 
-	// levels/parents/npois are nil for a plain (non-hierarchical) plan.
+	// levels/parents/npois are the hierarchy section's arrays.
 	levels  []uint16
 	parents []int32
 	npois   []int64
@@ -138,12 +140,14 @@ func (pl *shardPlan) memberIdentity(i int) (name string, kind Kind, bbox BBox2D)
 	return pl.coarse[i-len(pl.tiles)].name, KindA2A, pl.terrBBox
 }
 
-// planSharded runs the whole pre-build plan: the fine tile partition, and —
-// when opt.Levels asks for a hierarchy — the boundary portals and the coarse
-// member list. Portal links are generated directly in canonical (A, B, IDA)
-// order with ids assigned by scan order, the exact layout buildHierMeta
-// validates: ordinals ascend row-major, and for each tile the right neighbor
-// (same row) precedes the top neighbor (next row).
+// planSharded runs the whole pre-build plan: the fine tile partition, the
+// boundary portals and coarse member list when opt.Levels asks for more
+// than one level, and the hierarchy arrays. Portal links are generated
+// directly in canonical (A, B, IDA) order with ids assigned by scan order,
+// the exact layout buildHierMeta validates: ordinals ascend row-major, and
+// for each tile the right neighbor (same row) precedes the top neighbor
+// (next row). Each member's parent is the next level's member: the level-1
+// coarse member for a tile, none on the top level.
 func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt LODOptions) (*shardPlan, error) {
 	if opt.Levels > maxLODLevels+1 {
 		return nil, fmt.Errorf("core: %d LOD levels requested (max %d)", opt.Levels, maxLODLevels+1)
@@ -156,10 +160,38 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 	pl := &shardPlan{tiles: tiles, terrBBox: BBox2D{
 		MinX: st.BBoxMin.X, MinY: st.BBoxMin.Y, MaxX: st.BBoxMax.X, MaxY: st.BBoxMax.Y,
 	}}
-	if opt.Levels <= 1 {
-		return pl, nil
+	if opt.Levels > 1 {
+		if err := pl.planLevels(m, opt); err != nil {
+			return nil, err
+		}
 	}
+	n := pl.numMembers()
+	pl.levels = make([]uint16, n)
+	pl.parents = make([]int32, n)
+	pl.npois = make([]int64, n)
+	for i := range pl.parents {
+		pl.parents[i] = -1
+	}
+	for i := range tiles {
+		pl.npois[i] = tiles[i].npois
+		if len(pl.coarse) > 0 {
+			pl.parents[i] = int32(len(tiles))
+		}
+	}
+	for j, c := range pl.coarse {
+		i := len(tiles) + j
+		pl.levels[i] = c.level
+		if j+1 < len(pl.coarse) {
+			pl.parents[i] = int32(i + 1)
+		}
+	}
+	return pl, nil
+}
 
+// planLevels adds the boundary portals (appended to the tiles' POI lists)
+// and the coarse member list of a multi-level plan.
+func (pl *shardPlan) planLevels(m *terrain.Mesh, opt LODOptions) error {
+	tiles := pl.tiles
 	// Boundary portals: for each pair of edge-adjacent non-empty tiles,
 	// evenly spaced points along the shared tile edge, projected onto the
 	// surface (points the terrain cannot project are skipped). The same
@@ -170,7 +202,7 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 		per = DefaultPortalsPerEdge
 	}
 	if per < 0 {
-		return nil, fmt.Errorf("core: negative portal density %d", per)
+		return fmt.Errorf("core: negative portal density %d", per)
 	}
 	loc := terrain.NewLocator(m)
 	at := make(map[[2]int]int, len(tiles))
@@ -206,7 +238,7 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 		}
 	}
 	if len(pl.links) > maxPortalLinks {
-		return nil, fmt.Errorf("core: plan holds %d portal links (max %d)", len(pl.links), maxPortalLinks)
+		return fmt.Errorf("core: plan holds %d portal links (max %d)", len(pl.links), maxPortalLinks)
 	}
 
 	// One coarse A2A member per extra level, site density halving per level.
@@ -224,28 +256,10 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 		})
 	}
 	if pl.numMembers() > maxShardMembers {
-		return nil, fmt.Errorf("core: plan holds %d members (%d tiles + %d coarse levels, max %d)",
+		return fmt.Errorf("core: plan holds %d members (%d tiles + %d coarse levels, max %d)",
 			pl.numMembers(), len(tiles), len(pl.coarse), maxShardMembers)
 	}
-
-	n := pl.numMembers()
-	pl.levels = make([]uint16, n)
-	pl.parents = make([]int32, n)
-	pl.npois = make([]int64, n)
-	for i := range tiles {
-		pl.parents[i] = int32(len(tiles)) // the level-1 coarse member
-		pl.npois[i] = tiles[i].npois
-	}
-	for j := range pl.coarse {
-		i := len(tiles) + j
-		pl.levels[i] = pl.coarse[j].level
-		if j+1 < len(pl.coarse) {
-			pl.parents[i] = int32(i + 1)
-		} else {
-			pl.parents[i] = -1
-		}
-	}
-	return pl, nil
+	return nil
 }
 
 // buildMember builds member ordinal i of the plan: a fine SE tile (over real
@@ -268,37 +282,15 @@ func (pl *shardPlan) buildMember(eng geodesic.Engine, m *terrain.Mesh, i int, op
 	return so, nil
 }
 
-// attachHier turns the plan's hierarchy arrays into the index's validated
-// routing tables. All members are present (a fresh build has no quarantine),
-// so every mapping is the identity.
-func (pl *shardPlan) attachHier(sh *ShardedIndex) error {
-	if pl.levels == nil {
-		return nil
-	}
-	bboxes := make([]BBox2D, pl.numMembers())
-	names := make([]string, pl.numMembers())
-	ident := make([]int, pl.numMembers())
-	for i := range bboxes {
-		names[i], _, bboxes[i] = pl.memberIdentity(i)
-		ident[i] = i
-	}
-	h, err := buildHierMeta(pl.levels, pl.parents, pl.npois, pl.links, bboxes)
-	if err != nil {
-		return fmt.Errorf("core: plan produced an invalid hierarchy: %w", err)
-	}
-	sh.hier = h
-	sh.ord = ident
-	sh.memAt = append([]int(nil), ident...)
-	sh.ordName = names
-	return nil
-}
-
-// BuildShardedLOD builds a hierarchical multi index: the fine SE tile grid of
-// BuildShardedSE augmented with boundary portals on shared tile edges, plus
-// opt.Levels-1 coarse A2A members spanning the whole terrain (long-range
-// cross-tile queries route to them; short-range straddling pairs stitch
-// through the portals — see hierarchy.go). With opt.Levels <= 1 it degrades
-// to the plain tile grid of BuildShardedSE.
+// BuildShardedLOD tiles the terrain's planar bounding box into a
+// shards-tile grid, partitions the POIs by tile, and builds one SE oracle
+// per non-empty tile — in parallel across tiles through the same bounded
+// worker pool the single-oracle build phases use. With opt.Levels > 1 the
+// grid gains boundary portals on shared tile edges plus opt.Levels-1 coarse
+// A2A members spanning the whole terrain (long-range cross-tile queries
+// route to them; short-range straddling pairs stitch through the portals —
+// see hierarchy.go); with opt.Levels <= 1 it is a single-level hierarchy,
+// whose cross-tile id pairs fail with CrossMemberError.
 //
 // Like every build in this package the output is deterministic for any
 // opt.Workers: tile membership and portal placement are pure functions of the
@@ -333,18 +325,17 @@ func BuildShardedLOD(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.Surfac
 		}
 	}
 	members := make([]ShardMember, n)
+	bboxes := make([]BBox2D, n)
 	for i := range members {
 		name, _, bbox := pl.memberIdentity(i)
 		members[i] = ShardMember{Name: name, BBox: bbox, Index: built[i]}
+		bboxes[i] = bbox
 	}
-	sh, err := NewShardedIndex(members)
+	h, err := buildHierMeta(pl.levels, pl.parents, pl.npois, pl.links, bboxes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: plan produced an invalid hierarchy: %w", err)
 	}
-	if err := pl.attachHier(sh); err != nil {
-		return nil, err
-	}
-	return sh, nil
+	return newSharded(members, h)
 }
 
 // --- streaming tiled encode ---------------------------------------------------
@@ -360,40 +351,9 @@ type ShardedBuildSummary struct {
 	Points int
 }
 
-// manifestSectionOf is the plan-level counterpart of
-// ShardedIndex.manifestSection: the same manifest bytes produced from member
-// identities alone, before any member exists.
-func manifestSectionOf(pl *shardPlan) section {
-	length := uint64(8)
-	for i := 0; i < pl.numMembers(); i++ {
-		name, _, _ := pl.memberIdentity(i)
-		length += 2 + 2 + uint64(len(name)) + 32
-	}
-	return section{id: secManifest, length: length, write: func(w io.Writer) error {
-		if err := binary.Write(w, binary.LittleEndian, int64(pl.numMembers())); err != nil {
-			return err
-		}
-		for i := 0; i < pl.numMembers(); i++ {
-			name, kind, bbox := pl.memberIdentity(i)
-			if err := binary.Write(w, binary.LittleEndian, []uint16{uint16(kind), uint16(len(name))}); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, name); err != nil {
-				return err
-			}
-			if err := binary.Write(w, binary.LittleEndian,
-				[4]float64{bbox.MinX, bbox.MinY, bbox.MaxX, bbox.MaxY}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
-}
-
-// WriteSharded builds a sharded (optionally hierarchical) multi container
-// and streams it straight to w, one member at a time: the
-// manifest, hierarchy, portal and shared-mesh sections go out first (all are
-// functions of the plan alone), then each tile is built, encoded, written and
+// WriteSharded builds a sharded multi container and streams it straight to
+// w, one member at a time: the manifest, hierarchy, portal and shared-mesh
+// sections go out first (all are functions of the plan alone), then each tile is built, encoded, written and
 // dropped before the next begins. Peak build heap is therefore ~one tile —
 // the terrain, the engine and the largest single member — instead of the
 // whole grid, while the bytes written are exactly what building the whole
@@ -417,32 +377,22 @@ func WriteSharded(w io.Writer, eng geodesic.Engine, m *terrain.Mesh, pois []terr
 	}
 
 	n := pl.numMembers()
-	nsect := 2 + n // manifest + shared mesh + members
-	if pl.levels != nil {
-		nsect++
-		if len(pl.links) > 0 {
-			nsect++
-		}
+	head := []section{
+		manifestSection(n, pl.memberIdentity),
+		hierarchySection(pl.levels, pl.parents, pl.npois),
 	}
-	cw, err := newContainerWriter(w, KindMulti, nsect)
+	if len(pl.links) > 0 {
+		head = append(head, portalsSection(pl.links))
+	}
+	head = append(head, meshSection(secMesh, m))
+	cw, err := newContainerWriter(w, KindMulti, len(head)+n)
 	if err != nil {
 		return sum, err
 	}
-	if err := cw.section(manifestSectionOf(pl)); err != nil {
-		return sum, err
-	}
-	if pl.levels != nil {
-		if err := cw.section(hierarchySection(pl.levels, pl.parents, pl.npois)); err != nil {
+	for _, sec := range head {
+		if err := cw.section(sec); err != nil {
 			return sum, err
 		}
-		if len(pl.links) > 0 {
-			if err := cw.section(portalsSection(pl.links)); err != nil {
-				return sum, err
-			}
-		}
-	}
-	if err := cw.section(meshSection(secMesh, m)); err != nil {
-		return sum, err
 	}
 	for i := 0; i < n; i++ {
 		idx, err := pl.buildMember(eng, m, i, opt.Options)

@@ -102,21 +102,10 @@ func (d *DynamicOracle) QueryMatrix(sources, targets []int32, dst []float64) ([]
 	return MatrixViaBatch(d, sources, targets, dst)
 }
 
-// QueryMatrix answers through the sole member when exactly one exists. A
-// hierarchical index answers in the global id space — each cell routes
-// like Query (same-member, portal-stitched, or coarse), so a fleet matrix
-// may span tiles freely. A legacy flat-grid multi keeps the old contract:
-// ids are member-local and the caller must address a member first. Part of
-// the MatrixIndex interface.
+// QueryMatrix answers in the global id space: each cell routes like Query
+// (same-member, portal-stitched, or coarse), so a fleet matrix may span
+// tiles wherever the container has a cross-member route. Part of the
+// MatrixIndex interface.
 func (sh *ShardedIndex) QueryMatrix(sources, targets []int32, dst []float64) ([]float64, error) {
-	if len(sh.members) == 1 {
-		if mi, ok := sh.members[0].Index.(MatrixIndex); ok {
-			return mi.QueryMatrix(sources, targets, dst)
-		}
-		return MatrixViaBatch(sh.members[0].Index, sources, targets, dst)
-	}
-	if sh.hier != nil {
-		return MatrixViaBatch(sh, sources, targets, dst)
-	}
-	return nil, fmt.Errorf("core: multi index holds %d members; address one by name (ids are member-local)", len(sh.members))
+	return MatrixViaBatch(sh, sources, targets, dst)
 }

@@ -166,7 +166,7 @@ func (sh *ShardedIndex) NearestKAcrossCtx(ctx context.Context, x, y float64, k i
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: nearest-k cancelled at member %q: %w", m.Name, err)
 		}
-		if sh.hier != nil && sh.hier.levels[sh.ord[mi]] != 0 {
+		if sh.hier.levels[sh.ord[mi]] != 0 {
 			continue // coarse members hold sites, not POIs
 		}
 		ns, err := sh.memberNearestK(mi, x, y, k)

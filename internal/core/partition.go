@@ -163,6 +163,21 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 				}
 			}
 			if bestParent < 0 {
+				// The Covering Property bounds the distance from the parent
+				// to p, but this search runs from p, and the exact SSAD is
+				// not perfectly symmetric (the two directions can differ by
+				// ~1e-8 relative) — a parent right at 2·ri can land past
+				// the cut. Rerun unbounded over the previous-layer centers
+				// and take the nearest.
+				far := eng.DistancesTo(pois[p], prevPts, geodesic.Stop{CoverTargets: true})
+				for i, dd := range far {
+					if dd < bestD {
+						bestD = dd
+						bestParent = prevCenterSet[prevCenters[i]]
+					}
+				}
+			}
+			if bestParent < 0 {
 				return nil, fmt.Errorf("core: no parent found for POI %d at layer %d (covering property violated)", p, layer)
 			}
 

@@ -309,12 +309,13 @@ func TestQueryPathDynamicOracle(t *testing.T) {
 
 // Property test over the sharded index: a single-member container routes
 // QueryPath to its member (and survives a round trip); a multi-member
-// container rejects unaddressed path queries but answers through an
-// explicitly addressed member.
+// single-level container answers a same-member global pair with the owning
+// member's path, bit for bit, fails a cross-member pair with
+// CrossMemberError, and answers through an explicitly addressed member.
 func TestQueryPathSharded(t *testing.T) {
 	w := newTestWorld(t, 11, 24, 441)
 	const eps = 0.25
-	single, err := BuildShardedSE(w.eng, w.mesh, w.pois, 1, Options{Epsilon: eps, Seed: 443})
+	single, err := BuildShardedLOD(w.eng, w.mesh, w.pois, 1, LODOptions{Options: Options{Epsilon: eps, Seed: 443}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,15 +335,19 @@ func TestQueryPathSharded(t *testing.T) {
 		pathQueryParity(t, w.mesh, loaded, pts, eps, s, q)
 	}
 
-	multi, err := BuildShardedSE(w.eng, w.mesh, w.pois, 2, Options{Epsilon: eps, Seed: 443})
+	multi, err := BuildShardedLOD(w.eng, w.mesh, w.pois, 2, LODOptions{Options: Options{Epsilon: eps, Seed: 443}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if multi.NumMembers() < 2 {
 		t.Skipf("tiling produced %d members", multi.NumMembers())
 	}
-	if _, _, err := multi.QueryPath(0, 1); err == nil {
-		t.Fatal("multi-member QueryPath accepted member-local ids without an address")
+	first, _, _ := multi.MemberOf(0)
+	last, _, _ := multi.MemberOf(int32(multi.NumGlobalIDs() - 1))
+	var cme *CrossMemberError
+	if _, _, err := multi.QueryPath(0, int32(multi.NumGlobalIDs()-1)); !errors.As(err, &cme) ||
+		cme.SMember != first || cme.TMember != last {
+		t.Fatalf("cross-member QueryPath = %v, want CrossMemberError naming %s and %s", err, first, last)
 	}
 	for _, sh := range []*ShardedIndex{multi, roundTrip(t, multi).(*ShardedIndex)} {
 		for _, m := range sh.Members() {
@@ -356,6 +361,17 @@ func TestQueryPathSharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			pathQueryParity(t, w.mesh, member, mpts, eps, 0, mn-1)
+			g0, _ := sh.GlobalID(m.Name, 0)
+			gn, _ := sh.GlobalID(m.Name, mn-1)
+			want, wd, err := member.QueryPath(0, mn-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gd, err := sh.QueryPath(g0, gn)
+			if err != nil || math.Float64bits(gd) != math.Float64bits(wd) || pathDigest(got) != pathDigest(want) {
+				t.Fatalf("%s: global QueryPath(%d,%d) = %d pts %g (%v), member says %d pts %g",
+					m.Name, g0, gn, len(got), gd, err, len(want), wd)
+			}
 		}
 	}
 }

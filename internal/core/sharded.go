@@ -8,18 +8,19 @@ import (
 	"math"
 	"sync/atomic"
 
-	"seoracle/internal/geodesic"
 	"seoracle/internal/terrain"
 )
 
 // sharded.go — the multi-index container. A ShardedIndex bundles many member
 // indexes (any non-multi kind) behind one DistanceIndex, each member tagged
 // with a name and a planar bounding box. The serving layer routes requests to
-// a member by name or by locating coordinates in a member's bbox; sebuild
-// -shards=K produces one by tiling the terrain and building one SE oracle per
-// tile. On disk it is a KindMulti container: a manifest section naming every
-// member (name, kind, bbox), followed by the members' existing tagged
-// container bodies, one per section.
+// a member by name or by locating coordinates in a member's bbox, and
+// unnamed id-addressed requests to the index itself, which answers in the
+// global id space of its hierarchy (hierarchy.go); sebuild -shards=K
+// produces one by tiling the terrain and building one SE oracle per tile. On
+// disk it is a KindMulti container: a manifest section naming every member
+// (name, kind, bbox), the hierarchy section, followed by the members'
+// existing tagged container bodies, one per section.
 
 const (
 	// maxShardMembers bounds how many members one multi container may carry
@@ -66,18 +67,22 @@ func (b BBox2D) validate() error {
 }
 
 // ShardMember is one named member of a ShardedIndex. Its index ids are local
-// to the member: POI 0 of one shard is unrelated to POI 0 of another.
+// to the member: POI 0 of one shard is unrelated to POI 0 of another. The
+// multi index itself answers in the global id space instead (see
+// hierarchy.go).
 type ShardMember struct {
 	Name  string
 	BBox  BBox2D
 	Index DistanceIndex
 }
 
-// ShardedIndex is a multi-index container: several independent member indexes
-// served as one unit. It implements DistanceIndex so the loader, the CLI
-// tools and the serving layer treat it uniformly, but its id-addressed
-// Query/QueryBatch only answer directly when exactly one member exists —
-// with more, the caller must pick a member (by name or bbox) first.
+// ShardedIndex is a multi-index container: several member indexes served as
+// one unit behind one DistanceIndex. Every multi carries a hierarchy (see
+// hierarchy.go): its level-0 members' ids, concatenated in manifest order,
+// form the global id space the id-addressed queries answer in, and
+// cross-member pairs route through boundary portals or a coarse level when
+// the container has them. A container without coarse members is a
+// single-level hierarchy.
 type ShardedIndex struct {
 	members []ShardMember
 	byName  map[string]int
@@ -86,12 +91,12 @@ type ShardedIndex struct {
 	// the index's outer boundary, where these maxima re-admit it.
 	maxX, maxY float64
 
-	// Hierarchy state, nil/empty on legacy flat-grid multis (see
-	// hierarchy.go): hier is the decoded LOD/portal metadata, ord maps
+	// hier is the LOD/portal metadata over every manifest ordinal, ord maps
 	// member slice index → manifest ordinal, memAt maps manifest ordinal →
-	// member slice index (-1 when the member is quarantined), and ordName
-	// keeps every ordinal's manifest name — including quarantined ones, so
-	// global-id errors stay stable under degraded loads.
+	// member slice index (-1 when the member is absent: quarantined at load
+	// or removed by Without), and ordName keeps every ordinal's manifest
+	// name — including absent ones, so global-id errors stay stable under
+	// degraded loads.
 	hier    *hierMeta
 	ord     []int
 	memAt   []int
@@ -129,7 +134,10 @@ func validShardName(name string) error {
 
 // NewShardedIndex builds a multi index over members, validating names
 // (unique, URL-safe), bboxes and member kinds (nesting multi inside multi is
-// not supported).
+// not supported). The index is a single-level hierarchy: every member's ids
+// join the global id space in member order, each member contributing its
+// id count at construction (Stats().Points, plus a dynamic oracle's
+// tombstoned ids, which keep their numbers).
 func NewShardedIndex(members []ShardMember) (*ShardedIndex, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: multi index needs at least one member")
@@ -137,29 +145,96 @@ func NewShardedIndex(members []ShardMember) (*ShardedIndex, error) {
 	if len(members) > maxShardMembers {
 		return nil, fmt.Errorf("core: multi index holds %d members (max %d)", len(members), maxShardMembers)
 	}
-	byName := make(map[string]int, len(members))
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	npois := make([]int64, len(members))
+	bboxes := make([]BBox2D, len(members))
 	for i, m := range members {
+		if m.Index == nil {
+			return nil, fmt.Errorf("core: member %q has no index", m.Name)
+		}
+		npois[i], bboxes[i] = idCount(m.Index), m.BBox
+	}
+	h, err := singleLevel(npois, bboxes)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return newSharded(members, h)
+}
+
+// idCount is the size of a member's id space.
+func idCount(idx DistanceIndex) int64 {
+	st := idx.Stats()
+	return int64(st.Points + st.Tombstones)
+}
+
+// newSharded is the one constructor behind every ShardedIndex: byOrd holds
+// every manifest ordinal's member in order, with a nil Index where the
+// member is absent (quarantined by a tolerant load, or removed by Without),
+// and h is the hierarchy over all of them. It validates the present members
+// and derives the routing tables.
+func newSharded(byOrd []ShardMember, h *hierMeta) (*ShardedIndex, error) {
+	sh := &ShardedIndex{
+		byName: make(map[string]int, len(byOrd)),
+		maxX:   math.Inf(-1), maxY: math.Inf(-1),
+		hier:    h,
+		memAt:   make([]int, len(byOrd)),
+		ordName: make([]string, len(byOrd)),
+	}
+	for i, m := range byOrd {
+		sh.ordName[i], sh.memAt[i] = m.Name, -1
+		if m.Index == nil {
+			continue
+		}
 		if err := validShardName(m.Name); err != nil {
 			return nil, fmt.Errorf("core: member %d: %v", i, err)
 		}
-		if _, dup := byName[m.Name]; dup {
+		if _, dup := sh.byName[m.Name]; dup {
 			return nil, fmt.Errorf("core: duplicate member name %q", m.Name)
 		}
 		if err := m.BBox.validate(); err != nil {
 			return nil, fmt.Errorf("core: member %q: %v", m.Name, err)
 		}
-		if m.Index == nil {
-			return nil, fmt.Errorf("core: member %q has no index", m.Name)
-		}
 		if _, nested := m.Index.(*ShardedIndex); nested {
 			return nil, fmt.Errorf("core: member %q is itself a multi index (nesting unsupported)", m.Name)
 		}
-		byName[m.Name] = i
-		maxX = math.Max(maxX, m.BBox.MaxX)
-		maxY = math.Max(maxY, m.BBox.MaxY)
+		sh.byName[m.Name] = len(sh.members)
+		sh.memAt[i] = len(sh.members)
+		sh.ord = append(sh.ord, i)
+		sh.members = append(sh.members, m)
+		sh.maxX = math.Max(sh.maxX, m.BBox.MaxX)
+		sh.maxY = math.Max(sh.maxY, m.BBox.MaxY)
 	}
-	return &ShardedIndex{members: members, byName: byName, maxX: maxX, maxY: maxY}, nil
+	if len(sh.members) == 0 {
+		return nil, fmt.Errorf("core: multi index has no member left to serve")
+	}
+	return sh, nil
+}
+
+// Without returns the index with the named members removed, exactly as a
+// tolerant load that quarantined their bodies would serve it: ordinals, the
+// global id space, portal links and coarse routing are kept, and ids owned
+// by a removed member fail naming it. The receiver is unchanged; lazy
+// members keep sharing its resident set.
+func (sh *ShardedIndex) Without(names ...string) (*ShardedIndex, error) {
+	byOrd := make([]ShardMember, len(sh.ordName))
+	for i, n := range sh.ordName {
+		byOrd[i].Name = n
+	}
+	for k, m := range sh.members {
+		byOrd[sh.ord[k]] = m
+	}
+	for _, n := range names {
+		k, ok := sh.byName[n]
+		if !ok {
+			return nil, fmt.Errorf("core: no member named %q", n)
+		}
+		byOrd[sh.ord[k]].Index = nil
+	}
+	out, err := newSharded(byOrd, sh.hier)
+	if err != nil {
+		return nil, err
+	}
+	out.rs, out.rawMesh = sh.rs, sh.rawMesh
+	return out, nil
 }
 
 // Members returns the member list in manifest order. The slice aliases
@@ -229,25 +304,26 @@ func (sh *ShardedIndex) contains(b BBox2D, x, y float64) bool {
 	return true
 }
 
-// Query answers through the sole member when exactly one exists. With more
-// members, a hierarchical container answers in the global id space (the
-// level-0 members' real POIs concatenated in manifest order): same-member
-// pairs delegate, and cross-member pairs route through boundary-portal
-// stitching or the coarse level (see hierarchy.go). A legacy flat-grid
-// multi keeps the old contract — ids are member-local and the caller must
-// address a member by name or bbox first.
+// Query answers in the global id space: same-member pairs delegate to the
+// owning member, and cross-member pairs route through boundary-portal
+// stitching or the coarse level (see hierarchy.go). A cross-member pair the
+// container has no route for fails with CrossMemberError.
 func (sh *ShardedIndex) Query(s, t int32) (float64, error) {
-	if len(sh.members) == 1 {
-		return sh.members[0].Index.Query(s, t)
+	ka, la, err := sh.resolveGlobal(s)
+	if err != nil {
+		return 0, err
 	}
-	if sh.hier != nil {
-		return sh.globalQuery(s, t)
+	kb, lb, err := sh.resolveGlobal(t)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("core: multi index holds %d members; address one by name (ids are member-local)", len(sh.members))
+	if ka == kb {
+		return sh.members[ka].Index.Query(la, lb)
+	}
+	return sh.crossQuery(ka, la, kb, lb)
 }
 
-// QueryBatch answers pairs through Query (so the single-member delegation
-// and the ambiguity error apply batch-wide). Part of the DistanceIndex
+// QueryBatch answers pairs through Query. Part of the DistanceIndex
 // interface; errors carry the offending pair index.
 func (sh *ShardedIndex) QueryBatch(pairs [][2]int32, dst []float64) ([]float64, error) {
 	return BatchViaQuery(sh.Query, pairs, dst)
@@ -272,16 +348,16 @@ func (sh *ShardedIndex) MappedBytes() int64 {
 	return b
 }
 
-// Stats aggregates the members: point/pair/memory sums, the maximum height
-// and epsilon (the conservative error bound across shards), and the member
-// count. A hierarchical index reports the global id space as Points — a
-// function of the manifest, stable across lazy eviction and excluding
-// synthetic portal POIs and coarse sites — plus the resident-set counters.
+// Stats aggregates the members: pair/memory sums, the maximum height and
+// epsilon (the conservative error bound across shards), and the member
+// count. Points is the global id space — a function of the manifest, stable
+// across lazy eviction and degraded loads, and excluding synthetic portal
+// POIs and coarse sites — and the resident-set counters come from
+// TileStats.
 func (sh *ShardedIndex) Stats() IndexStats {
-	st := IndexStats{Kind: KindMulti, Members: len(sh.members)}
+	st := IndexStats{Kind: KindMulti, Members: len(sh.members), Points: int(sh.hier.total)}
 	for _, m := range sh.members {
 		ms := m.Index.Stats()
-		st.Points += ms.Points
 		st.Pairs += ms.Pairs
 		st.MemoryBytes += ms.MemoryBytes
 		st.MappedBytes += ms.MappedBytes
@@ -290,17 +366,13 @@ func (sh *ShardedIndex) Stats() IndexStats {
 			st.Height = ms.Height
 		}
 	}
-	if sh.hier != nil {
-		st.Points = int(sh.hier.total)
-	}
-	if ts, ok := sh.TileStats(); ok {
-		st.TilesResident = ts.Resident
-		st.TileBudgetBytes = ts.BudgetBytes
-		st.TileFaults = ts.Faults
-		st.TileEvictions = ts.Evictions
-		st.PortalQueries = ts.PortalQueries
-		st.CoarseQueries = ts.CoarseQueries
-	}
+	ts, _ := sh.TileStats()
+	st.TilesResident = ts.Resident
+	st.TileBudgetBytes = ts.BudgetBytes
+	st.TileFaults = ts.Faults
+	st.TileEvictions = ts.Evictions
+	st.PortalQueries = ts.PortalQueries
+	st.CoarseQueries = ts.CoarseQueries
 	return st
 }
 
@@ -310,38 +382,44 @@ func (sh *ShardedIndex) Stats() IndexStats {
 // name bytes, bbox 4 × float64. Member i's tagged container body follows as
 // section secMemberBase+i, in manifest order.
 
-func (sh *ShardedIndex) manifestLen() uint64 {
-	n := uint64(8)
-	for _, m := range sh.members {
-		n += 2 + 2 + uint64(len(m.Name)) + 32
+// manifestSection streams the manifest of n members whose identities ident
+// reports by ordinal — the one encoder behind a resident index's EncodeTo
+// and the streaming WriteSharded, which has no member built yet.
+func manifestSection(n int, ident func(i int) (name string, kind Kind, bbox BBox2D)) section {
+	length := uint64(8)
+	for i := 0; i < n; i++ {
+		name, _, _ := ident(i)
+		length += 2 + 2 + uint64(len(name)) + 32
 	}
-	return n
-}
-
-func (sh *ShardedIndex) manifestSection() section {
-	return section{id: secManifest, length: sh.manifestLen(), write: func(w io.Writer) error {
-		if err := binary.Write(w, binary.LittleEndian, int64(len(sh.members))); err != nil {
+	return section{id: secManifest, length: length, write: func(w io.Writer) error {
+		if err := binary.Write(w, binary.LittleEndian, int64(n)); err != nil {
 			return err
 		}
-		for _, m := range sh.members {
-			kind := m.Index.Stats().Kind
-			if lm, ok := m.Index.(*lazyMember); ok {
-				kind = lm.kind // the kind of the payload it re-emits verbatim
-			}
-			if err := binary.Write(w, binary.LittleEndian,
-				[]uint16{uint16(kind), uint16(len(m.Name))}); err != nil {
+		for i := 0; i < n; i++ {
+			name, kind, bbox := ident(i)
+			if err := binary.Write(w, binary.LittleEndian, []uint16{uint16(kind), uint16(len(name))}); err != nil {
 				return err
 			}
-			if _, err := io.WriteString(w, m.Name); err != nil {
+			if _, err := io.WriteString(w, name); err != nil {
 				return err
 			}
 			if err := binary.Write(w, binary.LittleEndian,
-				[4]float64{m.BBox.MinX, m.BBox.MinY, m.BBox.MaxX, m.BBox.MaxY}); err != nil {
+				[4]float64{bbox.MinX, bbox.MinY, bbox.MaxX, bbox.MaxY}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}}
+}
+
+// memberIdentity returns member i's manifest identity: a lazy member
+// reports the kind of the payload it re-emits verbatim.
+func (sh *ShardedIndex) memberIdentity(i int) (string, Kind, BBox2D) {
+	m := sh.members[i]
+	if lm, ok := m.Index.(*lazyMember); ok {
+		return m.Name, lm.kind, m.BBox
+	}
+	return m.Name, m.Index.Stats().Kind, m.BBox
 }
 
 // sharedMesh returns the terrain mesh to emit as the multi container's one
@@ -359,30 +437,30 @@ func (sh *ShardedIndex) sharedMesh() *terrain.Mesh {
 }
 
 // EncodeTo writes the multi index as a tagged container (kind "multi"):
-// the manifest, the hierarchy and portal sections (hierarchical containers
-// only), one shared terrain mesh (when the SE members tile a common terrain
-// and so embed none — storing it per member would keep K identical copies),
-// then every member's own container bytes. Members are buffered one at a time
-// (their containers are deterministic, so decode → re-encode stays
-// byte-identical member by member); lazy members re-emit their retained
-// section bytes verbatim, so a budgeted load re-encodes byte-identically
-// without faulting anything in.
+// the manifest, the hierarchy section, the portal section (when the
+// container has portals), one shared terrain mesh (when the SE members tile
+// a common terrain and so embed none — storing it per member would keep K
+// identical copies), then every member's own container bytes. Members are
+// buffered one at a time (their containers are deterministic, so decode →
+// re-encode stays byte-identical member by member); lazy members re-emit
+// their retained section bytes verbatim, so a budgeted load re-encodes
+// byte-identically without faulting anything in.
 //
-// A degraded hierarchical index (quarantined members) refuses to re-encode:
-// the hierarchy's ordinals, global id bases and portal links all reference
-// the full manifest, and a container rewritten without the missing members
-// would silently renumber the id space.
+// A degraded index (absent members) refuses to re-encode: the hierarchy's
+// ordinals, global id bases and portal links all reference the full
+// manifest, and a container rewritten without the missing members would
+// silently renumber the id space.
 func (sh *ShardedIndex) EncodeTo(w io.Writer) error {
-	if sh.hier != nil && len(sh.members) != len(sh.hier.levels) {
-		return fmt.Errorf("core: refusing to re-encode a degraded hierarchical multi (%d of %d members loaded; global ids would renumber)",
-			len(sh.members), len(sh.hier.levels))
+	if len(sh.members) != len(sh.ordName) {
+		return fmt.Errorf("core: refusing to re-encode a degraded multi (%d of %d members loaded; global ids would renumber)",
+			len(sh.members), len(sh.ordName))
 	}
-	secs := []section{sh.manifestSection()}
-	if sh.hier != nil {
-		secs = append(secs, hierarchySection(sh.hier.levels, sh.hier.parents, sh.hier.npois))
-		if len(sh.hier.portals) > 0 {
-			secs = append(secs, portalsSection(sh.hier.portals))
-		}
+	secs := []section{
+		manifestSection(len(sh.members), sh.memberIdentity),
+		hierarchySection(sh.hier.levels, sh.hier.parents, sh.hier.npois),
+	}
+	if len(sh.hier.portals) > 0 {
+		secs = append(secs, portalsSection(sh.hier.portals))
 	}
 	if sh.rs != nil {
 		if sh.rawMesh != nil {
@@ -403,16 +481,6 @@ func (sh *ShardedIndex) EncodeTo(w io.Writer) error {
 		secs = append(secs, bytesSection(secMemberBase+uint32(i), buf.Bytes()))
 	}
 	return writeContainer(w, KindMulti, secs)
-}
-
-// decodeMultiContainer rebuilds a *ShardedIndex from a multi-kind section
-// map. The manifest is the source of truth: a member count that disagrees
-// with the member sections actually present (either direction), a manifest
-// kind that disagrees with a member's body, duplicate or malformed names,
-// and invalid bboxes are all corruption, not slack.
-func decodeMultiContainer(secs map[uint32][]byte) (DistanceIndex, error) {
-	idx, _, err := decodeMulti(secs, false, nil)
-	return idx, err
 }
 
 // loadMember decodes one member body from its in-place section bytes,
@@ -461,34 +529,10 @@ func adoptShared(idx DistanceIndex, shared *terrain.Mesh) {
 	}
 }
 
-// decodeMulti is the keep/tolerant-only entry into decodeMultiCfg, kept for
-// the call sites that never load lazily (stream decode, LoadDegraded).
-func decodeMulti(secs map[uint32][]byte, tolerant bool, keep any) (DistanceIndex, []Quarantined, error) {
-	return decodeMultiCfg(secs, multiLoadConfig{keep: keep, tolerant: tolerant, verify: true})
-}
-
-// decodeMultiCfg is decodeMultiContainer with an optional tolerant mode
-// (the LoadDegraded path) and an optional lazy mode (LoadOptions.MemBudget
-// — see lazy.go). In tolerant mode, member-level failures — a missing or
-// undecodable member body, a manifest/body kind mismatch — quarantine the
-// member instead of failing the load, and the healthy rest are assembled. Manifest, hierarchy and
-// shared-mesh damage stays fatal in both modes: without a trustworthy
-// manifest there is no member identity to quarantine under. Tolerant loads
-// fail only when every member is damaged. cfg.keep is retained by zero-copy
-// (flat) members whose slabs alias the section bytes (see LoadBytes).
-//
-// Lazy mode defers each member's body decode — and therefore its kind,
-// and point-count validation — to the first query that touches
-// it (a deliberate relaxation, like LoadDegraded's: cold start must not pay
-// for tiles the traffic never visits). A body that fails at fault time
-// serves ErrMemberFault thereafter; only a missing member section is still
-// a load-time failure.
-func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex, []Quarantined, error) {
-	keep, tolerant := cfg.keep, cfg.tolerant
-	if err := requireSections(secs, secManifest); err != nil {
-		return nil, nil, err
-	}
-	r := bytes.NewReader(secs[secManifest])
+// decodeManifest parses the manifest section into every member's identity
+// (its Index left nil) and manifest kind, in ordinal order.
+func decodeManifest(payload []byte) ([]ShardMember, []Kind, error) {
+	r := bytes.NewReader(payload)
 	var count int64
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 		return nil, nil, fmt.Errorf("multi manifest header: %w", err)
@@ -496,13 +540,9 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 	if count < 1 || count > maxShardMembers {
 		return nil, nil, fmt.Errorf("multi manifest declares %d members (want 1..%d)", count, maxShardMembers)
 	}
-	type entry struct {
-		name string
-		kind Kind
-		bbox BBox2D
-	}
-	entries := make([]entry, 0, count)
-	for i := int64(0); i < count; i++ {
+	byOrd := make([]ShardMember, count)
+	kinds := make([]Kind, count)
+	for i := range byOrd {
 		var kindTag, nameLen uint16
 		if err := binary.Read(r, binary.LittleEndian, &kindTag); err != nil {
 			return nil, nil, fmt.Errorf("multi manifest entry %d: %w", i, err)
@@ -524,27 +564,88 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 		if err := binary.Read(r, binary.LittleEndian, &bb); err != nil {
 			return nil, nil, fmt.Errorf("multi manifest entry %d (%q): %w", i, name, err)
 		}
-		e := entry{name: string(name), kind: Kind(kindTag), bbox: BBox2D{MinX: bb[0], MinY: bb[1], MaxX: bb[2], MaxY: bb[3]}}
-		if err := e.bbox.validate(); err != nil {
+		box := BBox2D{MinX: bb[0], MinY: bb[1], MaxX: bb[2], MaxY: bb[3]}
+		if err := box.validate(); err != nil {
 			return nil, nil, fmt.Errorf("multi manifest entry %d (%q): %v", i, name, err)
 		}
-		entries = append(entries, e)
+		byOrd[i] = ShardMember{Name: string(name), BBox: box}
+		kinds[i] = Kind(kindTag)
 	}
 	if err := expectDrained(r, "multi manifest"); err != nil {
 		return nil, nil, err
 	}
+	return byOrd, kinds, nil
+}
+
+// checkMember validates a decoded member body against its manifest kind and,
+// when expectPts >= 0, against the id count the hierarchy expects — the
+// checks an eager load runs at load time and a lazy one at fault time.
+func checkMember(idx DistanceIndex, kind Kind, expectPts int64) error {
+	if _, nested := idx.(*ShardedIndex); nested {
+		return fmt.Errorf("member is itself a multi index (nesting unsupported)")
+	}
+	if got := idx.Stats().Kind; got != servedKind(kind) {
+		return fmt.Errorf("manifest says kind %s, body holds %s", kind, got)
+	}
+	if got := idCount(idx); expectPts >= 0 && got != expectPts {
+		return fmt.Errorf("hierarchy expects %d points (POIs + portals), body holds %d", expectPts, got)
+	}
+	return nil
+}
+
+// decodeMulti rebuilds a *ShardedIndex from a multi-kind section map. The
+// manifest is the source of truth: a member count that disagrees with the
+// member sections actually present (either direction), a manifest kind that
+// disagrees with a member's body, duplicate or malformed names, and invalid
+// bboxes are all corruption, not slack.
+//
+// cfg.tolerant selects the LoadDegraded behavior: member-level failures — a
+// missing or undecodable member body, a manifest/body kind mismatch —
+// quarantine the member instead of failing the load, and the healthy rest
+// are assembled. Manifest, hierarchy and shared-mesh damage stays fatal in
+// both modes: without a trustworthy manifest there is no member identity to
+// quarantine under. Tolerant loads fail only when every member is damaged.
+// cfg.keep is retained by zero-copy (flat) members whose slabs alias the
+// section bytes (see LoadBytes).
+//
+// A container without a hierarchy section (written before every multi
+// carried one) is a single-level hierarchy whose id counts come from the
+// member bodies. Those counts define the global id space, so in that shape
+// every member body must decode, even under cfg.tolerant.
+//
+// cfg.lazy defers each member's body decode — and therefore its kind and
+// point-count validation — to the first query that touches it (a deliberate
+// relaxation, like LoadDegraded's: cold start must not pay for tiles the
+// traffic never visits). A body that fails at fault time serves
+// ErrMemberFault thereafter; only a missing member section is still a
+// load-time failure. The hierarchy-less shape is the exception: its members
+// are decoded once at load to count them (flat members zero-copy).
+func decodeMulti(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex, []Quarantined, error) {
+	if err := requireSections(secs, secManifest); err != nil {
+		return nil, nil, err
+	}
+	byOrd, kinds, err := decodeManifest(secs[secManifest])
+	if err != nil {
+		return nil, nil, err
+	}
+	count := len(byOrd)
 	for id := range secs {
-		if id >= secMemberBase && id < secMemberBase+maxShardMembers && int64(id-secMemberBase) >= count {
+		if id >= secMemberBase && id < secMemberBase+maxShardMembers && int(id-secMemberBase) >= count {
 			return nil, nil, fmt.Errorf("container holds member section %d beyond the %d the manifest declares", id-secMemberBase, count)
 		}
 	}
-	// The optional hierarchy and portal sections make the container
-	// hierarchical (global id space, LOD levels, portal stitching — see
-	// hierarchy.go). Hierarchy damage is fatal like manifest damage in both
-	// modes: global ids and cross-tile routing hang off it.
+	bboxes := make([]BBox2D, count)
+	for i, m := range byOrd {
+		bboxes[i] = m.BBox
+	}
+	// The hierarchy and portal sections carry the global id space, the LOD
+	// levels and the portal links (see hierarchy.go). Hierarchy damage is
+	// fatal like manifest damage in both modes: global ids and cross-tile
+	// routing hang off it.
 	var hier *hierMeta
-	if payload, ok := secs[secHierarchy]; ok {
-		levels, parents, npois, err := decodeHierarchySec(payload, len(entries))
+	hierSec, hasHier := secs[secHierarchy]
+	if hasHier {
+		levels, parents, npois, err := decodeHierarchySec(hierSec, count)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -555,10 +656,6 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 				return nil, nil, err
 			}
 		}
-		bboxes := make([]BBox2D, len(entries))
-		for i, e := range entries {
-			bboxes[i] = e.bbox
-		}
 		hier, err = buildHierMeta(levels, parents, npois, links, bboxes)
 		if err != nil {
 			return nil, nil, fmt.Errorf("hierarchy section: %w", err)
@@ -566,6 +663,7 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 	} else if _, ok := secs[secPortals]; ok {
 		return nil, nil, fmt.Errorf("container holds a portal section but no hierarchy section")
 	}
+	tolerant := cfg.tolerant && hasHier
 	// An optional shared mesh section carries the terrain the SE members
 	// tile; it is attached to every mesh-less SE member below so QueryPath
 	// works without storing one mesh copy per tile. Lazy loads keep the raw
@@ -582,101 +680,72 @@ func decodeMultiCfg(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex,
 	if cfg.lazy {
 		rs = &residentSet{budget: cfg.budget, rawMesh: secs[secMesh]}
 	}
-	var quarantined []Quarantined
-	members := make([]ShardMember, 0, count)
-	ords := make([]int, 0, count)
-	for i, e := range entries {
-		// quarantine diverts a member-level failure into the quarantine list
-		// in tolerant mode; in strict mode the first failure aborts the load.
-		quarantine := func(err error) {
-			quarantined = append(quarantined, Quarantined{Name: e.name, Kind: e.kind, BBox: e.bbox, Err: err})
+	// open turns member i's body into its served index: decoded and checked
+	// now, or a lazy member decoded on first touch. The hierarchy-less shape
+	// decodes lazy members once here too, to count them.
+	open := func(i int, payload []byte) (DistanceIndex, error) {
+		expectPts := int64(-1)
+		if hasHier {
+			expectPts = hier.expectPts[i]
 		}
+		if !cfg.lazy || !hasHier {
+			idx, err := loadMember(payload, cfg.keep, cfg.verify)
+			if err != nil {
+				return nil, err
+			}
+			if err := checkMember(idx, kinds[i], expectPts); err != nil {
+				return nil, err
+			}
+			if !cfg.lazy {
+				adoptShared(idx, shared)
+				return idx, nil
+			}
+			expectPts = idCount(idx)
+		}
+		lm := &lazyMember{
+			rs: rs, ordinal: int32(i), name: byOrd[i].Name, kind: kinds[i],
+			payload: payload, keep: cfg.keep, npois: expectPts, expectPts: expectPts,
+		}
+		if hasHier {
+			lm.npois = hier.npois[i]
+		}
+		rs.members = append(rs.members, lm)
+		return lm, nil
+	}
+	var quarantined []Quarantined
+	counts := make([]int64, count) // member id counts, for the hierarchy-less shape
+	for i := range byOrd {
+		e := &byOrd[i]
 		payload, ok := secs[secMemberBase+uint32(i)]
 		if !ok {
-			err := fmt.Errorf("manifest declares %d members, member %d (%q) has no section", count, i, e.name)
-			if !tolerant {
-				return nil, nil, err
-			}
-			quarantine(err)
+			err = fmt.Errorf("manifest declares %d members, member %d (%q) has no section", count, i, e.Name)
+		} else if e.Index, err = open(i, payload); err == nil {
+			counts[i] = idCount(e.Index)
 			continue
+		} else {
+			err = fmt.Errorf("member %q: %w", e.Name, err)
 		}
-		npois, expectPts := int64(-1), int64(-1)
-		if hier != nil && hier.levels[i] == 0 {
-			npois, expectPts = hier.npois[i], hier.expectPts[i]
+		// A member-level failure quarantines the member in tolerant mode;
+		// otherwise it aborts the load.
+		if !tolerant {
+			return nil, nil, err
 		}
-		if cfg.lazy {
-			lm := &lazyMember{
-				rs: rs, ordinal: int32(i), name: e.name, kind: e.kind,
-				payload: payload, keep: keep, npois: npois, expectPts: expectPts,
-			}
-			rs.members = append(rs.members, lm)
-			ords = append(ords, i)
-			members = append(members, ShardMember{Name: e.name, BBox: e.bbox, Index: lm})
-			continue
-		}
-		idx, err := loadMember(payload, keep, cfg.verify)
-		if err != nil {
-			if !tolerant {
-				return nil, nil, fmt.Errorf("member %q: %w", e.name, err)
-			}
-			quarantine(err)
-			continue
-		}
-		if _, nested := idx.(*ShardedIndex); nested {
-			err := fmt.Errorf("member %q is itself a multi index (nesting unsupported)", e.name)
-			if !tolerant {
-				return nil, nil, err
-			}
-			quarantine(err)
-			continue
-		}
-		if got := idx.Stats().Kind; got != servedKind(e.kind) {
-			err := fmt.Errorf("member %q: manifest says kind %s, body holds %s", e.name, e.kind, got)
-			if !tolerant {
-				return nil, nil, err
-			}
-			quarantine(err)
-			continue
-		}
-		adoptShared(idx, shared)
-		if expectPts >= 0 {
-			if got := idx.Stats().Points; int64(got) != expectPts {
-				err := fmt.Errorf("member %q: hierarchy expects %d points (%d POIs + portals), body holds %d", e.name, expectPts, npois, got)
-				if !tolerant {
-					return nil, nil, err
-				}
-				quarantine(err)
-				continue
-			}
-		}
-		ords = append(ords, i)
-		members = append(members, ShardMember{Name: e.name, BBox: e.bbox, Index: idx})
+		quarantined = append(quarantined, Quarantined{Name: e.Name, Kind: kinds[i], BBox: e.BBox, Err: err})
 	}
-	if len(members) == 0 {
+	if len(quarantined) == count {
 		return nil, nil, fmt.Errorf("every member of the multi container failed to decode (first: %v)", quarantined[0].Err)
 	}
-	sh, err := NewShardedIndex(members)
+	if !hasHier {
+		if hier, err = singleLevel(counts, bboxes); err != nil {
+			return nil, nil, fmt.Errorf("member id counts: %w", err)
+		}
+	}
+	sh, err := newSharded(byOrd, hier)
 	if err != nil {
 		return nil, nil, err
 	}
-	if hier != nil {
-		sh.hier = hier
-		sh.ord = ords
-		sh.memAt = make([]int, len(entries))
-		for i := range sh.memAt {
-			sh.memAt[i] = -1
-		}
-		for k, ordn := range ords {
-			sh.memAt[ordn] = k
-		}
-		sh.ordName = make([]string, len(entries))
-		for i, e := range entries {
-			sh.ordName[i] = e.name
-		}
-	}
 	if rs != nil {
-		sh.rs = rs
-		sh.rawMesh = secs[secMesh]
+		sh.rs, sh.rawMesh = rs, secs[secMesh]
 	}
 	return sh, quarantined, nil
 }
@@ -714,24 +783,6 @@ func tileIndex(v, min, span float64, k int) int {
 	return i
 }
 
-// BuildShardedSE tiles the terrain's planar bounding box into a shards-tile
-// grid, partitions the POIs by tile, and builds one SE oracle per non-empty
-// tile — in parallel across tiles through the same bounded worker pool the
-// single-oracle build phases use. Tiles that received no POIs are dropped
-// (an SE oracle cannot be empty); their region still routes, because Locate
-// falls back to the planar-closest member bbox.
-//
-// Every member build is deterministic regardless of opt.Workers (the Build
-// contract), tile membership is a pure function of POI coordinates, and
-// members are emitted in row-major tile order — so the serialized container
-// is byte-identical for any worker count.
-//
-// Member names are "tile-<col>-<row>"; each member's manifest bbox is its
-// full tile rectangle (edge tiles extend to the terrain bounds).
-func BuildShardedSE(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt Options) (*ShardedIndex, error) {
-	return BuildShardedLOD(eng, m, pois, shards, LODOptions{Options: opt})
-}
-
 // NearestAcross returns the globally nearest indexed endpoint over every
 // member that answers nearest queries — the unnamed-/v1/nearest semantics
 // of the serving layer: the answer must match what one un-sharded index
@@ -742,10 +793,10 @@ func BuildShardedSE(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.Surface
 // name — a property of the members themselves, not of manifest order, so
 // the winner is identical however the container was assembled or reloaded.
 // Members that cannot answer (no NearestFinder, or no point table) are
-// skipped; an error is returned only when no member produced an answer. On
-// a hierarchical index, coarse members are skipped (their sites are routing
-// infrastructure, not indexed endpoints) and synthetic portal POIs are
-// filtered out of fine members' answers.
+// skipped; an error is returned only when no member produced an answer.
+// Coarse members are skipped (their sites are routing infrastructure, not
+// indexed endpoints) and synthetic portal POIs are filtered out of fine
+// members' answers.
 func (sh *ShardedIndex) NearestAcross(x, y float64) (ShardMember, int32, terrain.SurfacePoint, float64, error) {
 	var (
 		bm    ShardMember
@@ -754,7 +805,7 @@ func (sh *ShardedIndex) NearestAcross(x, y float64) (ShardMember, int32, terrain
 		bestD = math.Inf(1)
 	)
 	for k, m := range sh.members {
-		if sh.hier != nil && sh.hier.levels[sh.ord[k]] != 0 {
+		if sh.hier.levels[sh.ord[k]] != 0 {
 			continue
 		}
 		id, at, d, err := sh.memberNearest(k, x, y)

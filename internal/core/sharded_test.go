@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -14,9 +15,9 @@ import (
 // buildSharded builds a sharded SE index over the test world.
 func buildSharded(t *testing.T, w *testWorld, shards int, opt Options) *ShardedIndex {
 	t.Helper()
-	sh, err := BuildShardedSE(w.eng, w.mesh, w.pois, shards, opt)
+	sh, err := BuildShardedLOD(w.eng, w.mesh, w.pois, shards, LODOptions{Options: opt})
 	if err != nil {
-		t.Fatalf("BuildShardedSE: %v", err)
+		t.Fatalf("BuildShardedLOD: %v", err)
 	}
 	return sh
 }
@@ -220,27 +221,44 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedQueryAmbiguity: id-addressed queries on a multi index are only
-// answerable when exactly one member exists; the batch surface propagates
-// the ambiguity error with the offending pair index.
+// TestShardedQueryAmbiguity: unnamed id-addressed queries on a multi index
+// are not ambiguous — they address the global id space. A same-member pair
+// answers what its member says; a cross-member pair of a single-level
+// container fails with CrossMemberError, which the batch surface propagates
+// with the offending pair index. A single-member multi answers through its
+// member.
 func TestShardedQueryAmbiguity(t *testing.T) {
 	w := newTestWorld(t, 9, 18, 977)
 	sh := buildSharded(t, w, 2, Options{Epsilon: 0.3, Seed: 978})
 	if sh.NumMembers() < 2 {
 		t.Skipf("world produced %d members", sh.NumMembers())
 	}
-	if _, err := sh.Query(0, 1); err == nil || !strings.Contains(err.Error(), "member") {
-		t.Fatalf("ambiguous Query = %v, want member-addressing error", err)
+	// A same-member global pair answers what the member says, bit for bit.
+	name, _, _ := sh.MemberOf(0)
+	m, _ := sh.Member(name)
+	want, err := m.Index.Query(0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sh.QueryBatch([][2]int32{{0, 1}}, nil); err == nil || !strings.Contains(err.Error(), "pair 0") {
-		t.Fatalf("ambiguous QueryBatch = %v, want pair-indexed error", err)
+	if got, err := sh.Query(0, 1); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("same-member global Query = %g/%v, member says %g", got, err, want)
+	}
+	// A cross-member pair has no route in a single-level container.
+	last := int32(sh.NumGlobalIDs() - 1)
+	lastName, _, _ := sh.MemberOf(last)
+	var cme *CrossMemberError
+	if _, err := sh.Query(0, last); !errors.As(err, &cme) || cme.SMember != name || cme.TMember != lastName {
+		t.Fatalf("cross-member Query = %v, want CrossMemberError naming %s and %s", err, name, lastName)
+	}
+	if _, err := sh.QueryBatch([][2]int32{{0, 1}, {0, last}}, nil); !errors.As(err, &cme) || !strings.Contains(err.Error(), "pair 1") {
+		t.Fatalf("cross-member QueryBatch = %v, want pair-indexed CrossMemberError", err)
 	}
 
 	one, err := NewShardedIndex(sh.Members()[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := one.Members()[0].Index.Query(0, 1)
+	want, err = one.Members()[0].Index.Query(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"sort"
 	"strings"
@@ -88,7 +89,8 @@ func TestQueryMatrixMatchesQuery(t *testing.T) {
 }
 
 // TestQueryMatrixErrors: empty axes and invalid ids fail with the offending
-// row named; a multi-member sharded index refuses id-addressed matrices.
+// row named; a single-level multi-member index answers a same-member matrix
+// in global ids and fails a cross-member cell with CrossMemberError.
 func TestQueryMatrixErrors(t *testing.T) {
 	w := newTestWorld(t, 9, 10, 1105)
 	o := w.build(t, Options{Epsilon: 0.3, Seed: 1106})
@@ -106,8 +108,23 @@ func TestQueryMatrixErrors(t *testing.T) {
 	if sh.NumMembers() < 2 {
 		t.Skipf("world produced %d members", sh.NumMembers())
 	}
-	if _, err := sh.QueryMatrix([]int32{0}, []int32{1}, nil); err == nil || !strings.Contains(err.Error(), "member") {
-		t.Errorf("multi-member matrix = %v, want member-addressing error", err)
+	last := int32(sh.NumGlobalIDs() - 1)
+	var cme *CrossMemberError
+	if _, err := sh.QueryMatrix([]int32{0}, []int32{last}, nil); !errors.As(err, &cme) {
+		t.Errorf("cross-member matrix = %v, want CrossMemberError", err)
+	}
+	name, _, _ := sh.MemberOf(0)
+	m, _ := sh.Member(name)
+	n := m.Index.Stats().Points
+	if n < 2 {
+		t.Fatalf("member %s holds %d POIs", name, n)
+	}
+	got, err := sh.QueryMatrix([]int32{0}, []int32{int32(n - 1)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := m.Index.Query(0, int32(n-1)); math.Float64bits(got[0]) != math.Float64bits(want) {
+		t.Errorf("same-member matrix cell %g, member says %g", got[0], want)
 	}
 }
 
@@ -380,7 +397,8 @@ func TestReachableDynamicSkipsTombstones(t *testing.T) {
 }
 
 // TestShardedReachableDelegation: a single-member multi answers through its
-// member; more members refuse with the addressing error.
+// member; on a single-level multi-member index the scan crosses members,
+// which have no route between them, so it fails with CrossMemberError.
 func TestShardedReachableDelegation(t *testing.T) {
 	w := newTestWorld(t, 9, 14, 1124)
 	o := w.build(t, Options{Epsilon: 0.3, Seed: 1125})
@@ -403,8 +421,9 @@ func TestShardedReachableDelegation(t *testing.T) {
 	if sh.NumMembers() < 2 {
 		t.Skipf("world produced %d members", sh.NumMembers())
 	}
-	if _, err := sh.Reachable(0, 100); err == nil || !strings.Contains(err.Error(), "member") {
-		t.Errorf("multi-member Reachable = %v, want member-addressing error", err)
+	var cme *CrossMemberError
+	if _, err := sh.Reachable(0, 100); !errors.As(err, &cme) {
+		t.Errorf("multi-member Reachable = %v, want CrossMemberError", err)
 	}
 }
 

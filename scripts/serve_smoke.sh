@@ -14,9 +14,13 @@
 #      assert /v1/path returns a GeoJSON LineString on the single and the
 #      2-shard containers; assert a 1x1 /v1/matrix cell equals the scalar
 #      answer (single and named-member); for the multi container also
-#      assert routing by member name and by coordinates, the unnamed
-#      k-nearest fan-out with member tags, and that the query cache
-#      reports hits in /statsz
+#      assert routing by member name and by coordinates, that an unnamed
+#      same-tile id pair (served and via sequery without -index) equals
+#      the named answer while a cross-tile pair answers 422 naming both
+#      members, the unnamed k-nearest fan-out with member tags, and that
+#      the query cache reports hits in /statsz
+#   6. serve the LOD container with -chaos-fail-member tile-0-0: ids on
+#      healthy tiles answer exactly as before, ids on the failed tile 503
 #
 # Requires: go, curl, awk. Exits non-zero on any mismatch.
 set -eu
@@ -163,6 +167,21 @@ GOT_M="$(field "$TMP/qm.json" distance)"
 say "seserve says tile-0-0 d(0,1) = $GOT_M"
 [ "$GOT_M" = "$WANT_M" ] || { say "multi distance mismatch: sequery=$WANT_M server=$GOT_M"; exit 1; }
 
+# Unnamed ids address the global id space: ids 0 and 1 are tile-0-0's
+# local 0 and 1, so the answer equals the named one, served and offline.
+curl_json "http://127.0.0.1:$PORT/v1/query?s=0&t=1" >"$TMP/qg.json"
+GOT_G="$(field "$TMP/qg.json" distance)"
+[ "$GOT_G" = "$WANT_M" ] || { say "unnamed same-tile query mismatch: named=$WANT_M unnamed=$GOT_G"; exit 1; }
+CLI_G="$("$TMP/sequery" -oracle "$TMP/multi.sedx" -s 0 -t 1 | awk -F'= ' '{print $2}' | awk '{print $1}')"
+[ "$CLI_G" = "$WANT_M" ] || { say "sequery without -index mismatch: named=$WANT_M unnamed=$CLI_G"; exit 1; }
+say "unnamed global d(0,1) = $GOT_G (served and sequery)"
+
+# A cross-tile id pair has no route without -lod: 422 naming both members.
+CODE="$(curl -s -o "$TMP/qx2.json" -w '%{http_code}' "http://127.0.0.1:$PORT/v1/query?s=0&t=39")"
+[ "$CODE" = "422" ] || { say "cross-tile id pair returned $CODE, want 422: $(cat "$TMP/qx2.json")"; exit 1; }
+grep -q 'tile-0-0' "$TMP/qx2.json" && grep -q 'tile-1-0' "$TMP/qx2.json" ||
+    { say "cross-tile 422 does not name both members: $(cat "$TMP/qx2.json")"; exit 1; }
+
 # Route /v1/nearest by coordinates: the left half of the terrain belongs to
 # tile-0-0, the right half to tile-1-0.
 curl_json "http://127.0.0.1:$PORT/v1/nearest?x=10&y=60" >"$TMP/n0.json"
@@ -269,4 +288,24 @@ TEVICT="$(field "$TMP/statsl.json" evictions)"
 [ "${TEVICT:-0}" -ge 1 ] 2>/dev/null || { say "tiles.evictions=$TEVICT, want >= 1"; exit 1; }
 say "tiles: levels=$TLEVELS portals=$TPORTALS faults=$TFAULTS evictions=$TEVICT (budget 1 byte)"
 
-say "OK (se + a2a + sharded multi + LOD-under-budget served, answers match sequery, cache hit recorded)"
+kill "$SERVER_PID" && wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+
+# --- a failed member keeps the LOD hierarchy --------------------------------
+# Global ids 38 and 39 live on the last fine tile, id 0 on tile-0-0. With
+# tile-0-0 failed, a healthy pair answers exactly the healthy container's
+# distance and a pair touching the failed tile answers 503.
+WANT_H="$("$TMP/sequery" -oracle "$TMP/lod.sedx" -s 38 -t 39 | awk -F'= ' '{print $2}' | awk '{print $1}')"
+[ -n "$WANT_H" ] || { say "sequery produced no answer for d(38,39)"; exit 1; }
+"$TMP/seserve" -index "$TMP/lod.sedx" -addr "127.0.0.1:$PORT" -chaos-fail-member tile-0-0 &
+SERVER_PID=$!
+wait_healthy
+curl_json "http://127.0.0.1:$PORT/v1/query?s=38&t=39" >"$TMP/qh.json"
+GOT_H="$(field "$TMP/qh.json" distance)"
+[ "$GOT_H" = "$WANT_H" ] || { say "healthy pair under chaos: want $WANT_H, got $GOT_H"; exit 1; }
+CODE="$(curl -s -o "$TMP/qf.json" -w '%{http_code}' "http://127.0.0.1:$PORT/v1/query?s=0&t=39")"
+[ "$CODE" = "503" ] || { say "pair on the failed tile returned $CODE, want 503: $(cat "$TMP/qf.json")"; exit 1; }
+grep -q 'tile-0-0' "$TMP/qf.json" || { say "503 does not name the failed tile: $(cat "$TMP/qf.json")"; exit 1; }
+say "chaos-failed tile-0-0: d(38,39) = $GOT_H unchanged, d(0,39) = 503"
+
+say "OK (se + a2a + sharded multi + LOD-under-budget + LOD with a failed member served, answers match sequery, cache hit recorded)"

@@ -226,8 +226,9 @@ func BuildDynamic(t *Terrain, pois []SurfacePoint, opt Options) (*DynamicOracle,
 
 // ShardedIndex is a multi-index container: several named member indexes,
 // each with a planar bounding box, served as one unit (and one "multi"-kind
-// container file). cmd/seserve routes requests across its members by name
-// or by locating coordinates in a member bbox.
+// container file). Its own queries answer in a global id space;
+// cmd/seserve also routes requests to a member by name or by locating
+// coordinates in a member bbox.
 type ShardedIndex = core.ShardedIndex
 
 // ShardMember is one named member of a ShardedIndex.
@@ -235,10 +236,13 @@ type ShardMember = core.ShardMember
 
 // BuildSharded tiles the terrain's planar bounding box into a shards-tile
 // grid and builds one SE oracle per non-empty tile (in parallel across
-// tiles; byte-identical output for any opt.Workers). Member ids are local
-// to each member.
+// tiles; byte-identical output for any opt.Workers). The index is a
+// single-level hierarchy: it answers in the global id space (the tiles'
+// POIs concatenated in tile order; MemberOf and GlobalID map to and from a
+// member's local ids), and a pair across tiles fails with a cross-member
+// error — BuildShardedLOD adds the portals and coarse level that route it.
 func BuildSharded(t *Terrain, pois []SurfacePoint, shards int, opt Options) (*ShardedIndex, error) {
-	return core.BuildShardedSE(geodesic.NewExact(t), t, pois, shards, opt)
+	return core.BuildShardedLOD(geodesic.NewExact(t), t, pois, shards, LODOptions{Options: opt})
 }
 
 // LODOptions configures BuildShardedLOD beyond the per-member Options:
@@ -251,7 +255,7 @@ type LODOptions = core.LODOptions
 const DefaultPortalsPerEdge = core.DefaultPortalsPerEdge
 
 // PortalLink is one boundary portal shared by two adjacent fine tiles of a
-// hierarchical sharded index: the same surface point indexed by both
+// multi-level sharded index: the same surface point indexed by both
 // members, the seam cross-tile queries stitch through.
 type PortalLink = core.PortalLink
 
@@ -260,9 +264,10 @@ type PortalLink = core.PortalLink
 // between them. It carries both member names; unwrap with errors.As.
 type CrossMemberError = core.CrossMemberError
 
-// ErrMemberFault marks a lazily loaded member whose body failed to decode
-// on first touch. Queries touching the member keep returning it (sticky);
-// test with errors.Is.
+// ErrMemberFault marks a query that needs a member the index cannot serve:
+// a lazily loaded member whose body failed to decode on first touch
+// (sticky: queries touching it keep returning it), or a member absent from
+// a degraded index. Test with errors.Is.
 var ErrMemberFault = core.ErrMemberFault
 
 // TileStats is the hierarchy / resident-set observability block of a
