@@ -1,12 +1,13 @@
-// Benchmarks for the LOD shard hierarchy (PR 10): the cost of faulting a
-// lazily loaded member in from the container image (the -mem-budget serving
-// path's cache miss) and the hot cost of a portal-stitched cross-tile
-// query against a same-tile baseline. The cold_fault_ns custom-unit column
+// Benchmarks for the LOD shard hierarchy: the cost of faulting a lazily
+// loaded member in from the container image (the -mem-budget serving path's
+// cache miss) and the hot cost of a portal-stitched and a coarse-routed
+// cross-tile query against a same-tile baseline. The cold_fault_ns custom-unit column
 // lands in BENCH_perf.json's Metrics map as a trajectory series.
 package seoracle
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -22,6 +23,8 @@ type lodBench struct {
 	encoded []byte
 	crossS  int32 // near-seam cross-member pair: portal-stitched
 	crossT  int32
+	coarseS int32 // shortest-span diagonal-tile pair: coarse-routed
+	coarseT int32
 	sameS   int32 // same-member pair: the intra-tile baseline
 	sameT   int32
 }
@@ -34,8 +37,11 @@ var (
 // lodBenchWorld builds (once) a 2-level, 4-tile hierarchical index over the
 // sf-small benchmark terrain and picks the measurement pairs: the
 // cross-member pair with the smallest planar separation (guaranteed to
-// route through boundary portals, not the coarse level) and a same-member
-// pair for the baseline.
+// route through boundary portals, not the coarse level), the pair of
+// diagonal tiles with the smallest planar separation (diagonal tiles share
+// no portals, so it routes to the coarse level; before the coarse member
+// indexed the POIs, this was the pair that ran a short-range exact SSAD)
+// and a same-member pair for the baseline.
 func lodBenchWorld(b *testing.B) *lodBench {
 	b.Helper()
 	lodBenchMu.Lock()
@@ -81,19 +87,31 @@ func lodBenchWorld(b *testing.B) *lodBench {
 		}
 		pts[name] = append(pts[name], int32(g))
 	}
-	best := math.Inf(1)
+	tileXY := func(name string) (x, y int) {
+		if _, err := fmt.Sscanf(name, "tile-%d-%d", &x, &y); err != nil {
+			b.Fatalf("member %q is not a fine tile: %v", name, err)
+		}
+		return x, y
+	}
+	best, bestDiag := math.Inf(1), math.Inf(1)
 	for s := 0; s < n; s++ {
 		for t := s + 1; t < n; t++ {
 			if owner[s] == owner[t] {
 				continue
 			}
-			if d := math.Hypot(px[s]-px[t], py[s]-py[t]); d < best {
+			d := math.Hypot(px[s]-px[t], py[s]-py[t])
+			if d < best {
 				best, lb.crossS, lb.crossT = d, int32(s), int32(t)
+			}
+			sx, sy := tileXY(owner[s])
+			tx, ty := tileXY(owner[t])
+			if sx != tx && sy != ty && d < bestDiag {
+				bestDiag, lb.coarseS, lb.coarseT = d, int32(s), int32(t)
 			}
 		}
 	}
-	if math.IsInf(best, 1) {
-		b.Fatal("no cross-member pair in the benchmark world")
+	if math.IsInf(best, 1) || math.IsInf(bestDiag, 1) {
+		b.Fatal("no cross-member or no diagonal-tile pair in the benchmark world")
 	}
 	for _, ids := range pts {
 		if len(ids) >= 2 {
@@ -144,6 +162,28 @@ func BenchmarkPortalQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lb.sh.Query(lb.crossS, lb.crossT); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoarseQuery measures the hot coarse route: a resident
+// hierarchical index answering the shortest-span diagonal-tile pair, which
+// shares no portals and goes to the coarse member. The benchmark first
+// asserts that the pair does take the coarse route.
+func BenchmarkCoarseQuery(b *testing.B) {
+	lb := lodBenchWorld(b)
+	before, _ := lb.sh.TileStats()
+	if _, err := lb.sh.Query(lb.coarseS, lb.coarseT); err != nil {
+		b.Fatal(err)
+	}
+	if after, _ := lb.sh.TileStats(); after.CoarseQueries <= before.CoarseQueries {
+		b.Fatalf("diagonal-tile pair (%d,%d) did not take the coarse route", lb.coarseS, lb.coarseT)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lb.sh.Query(lb.coarseS, lb.coarseT); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,7 +26,8 @@
 // -lod=K (with -shards) adds K-1 coarse levels above the fine tile grid:
 // boundary portals are placed on every shared tile edge so short
 // cross-tile queries stitch exactly, and each coarse level is one
-// terrain-spanning A2A member that answers long-range queries cheaply.
+// terrain-spanning A2A member whose leading sites are the POIs, so it
+// answers a long-range id pair with one oracle probe.
 // The result is one multi container whose hierarchy routes every global id
 // pair (see seserve -mem-budget for serving it larger than RAM).
 //

@@ -24,10 +24,16 @@ import (
 // As a DistanceIndex, its endpoints are site ids (Query answers
 // site-to-site distances through the inner SE oracle); the PointIndex
 // surface (QueryPoints, Project) serves arbitrary surface points.
+//
+// The coarse member of a tiled container also indexes the container's
+// POIs: they are its leading sites, so site id g is POI g and a POI pair is
+// answered by one probe of the inner oracle, within (1±ε). The vertex and
+// Steiner sites follow them.
 type SiteOracle struct {
 	oracle    *Oracle
 	mesh      *terrain.Mesh
 	sites     []terrain.SurfacePoint
+	npois     int       // leading POI sites; vertex v is site npois+v
 	faceSites [][]int32 // per face: site ids on its corners and edges
 	locator   *terrain.Locator
 	eng       geodesic.Engine
@@ -74,24 +80,57 @@ type SiteOptions struct {
 
 // BuildSiteOracle constructs the A2A oracle for mesh m.
 func BuildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions) (*SiteOracle, error) {
+	return buildSiteOracle(eng, m, nil, opt)
+}
+
+// buildSiteOracle constructs the A2A oracle for mesh m whose leading sites
+// are pois (site id g is pois[g]), followed by the vertex and Steiner
+// sites. The per-face site lists hold only vertex and Steiner sites, so an
+// arbitrary-point query anchors exactly as it would without the POIs. No
+// POI may coincide with a vertex or Steiner site (the SE build rejects a
+// point indexed twice).
+func buildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, pois []terrain.SurfacePoint, opt SiteOptions) (*SiteOracle, error) {
 	per := opt.SitesPerEdge
 	if per <= 0 {
 		per = SitesPerEdgeForEps(opt.Epsilon)
 	}
-	so := &SiteOracle{mesh: m, locator: terrain.NewLocator(m), eng: eng, sitesPerEdge: per}
+	so := &SiteOracle{mesh: m, locator: terrain.NewLocator(m), eng: eng, sitesPerEdge: per, npois: len(pois)}
 	so.spacing = m.ComputeStats().MaxEdgeLen / float64(per+1)
 	if opt.Epsilon > 0 {
 		so.localThreshold = 2 * so.spacing / opt.Epsilon
 	}
 
-	// Vertex sites first, then edge sites, recording per-face site lists.
-	for v := 0; v < m.NumVerts(); v++ {
-		so.sites = append(so.sites, m.VertexPoint(int32(v)))
+	// POI sites first, then the terrain's vertex and edge sites.
+	terr, faceSites := terrainSites(m, per, int32(len(pois)))
+	so.sites = append(append(so.sites, pois...), terr...)
+	so.faceSites = faceSites
+
+	// The container carries the mesh once; the inner image embeds none.
+	o, err := buildOracle(eng, so.sites, opt.Options, m, false)
+	if err != nil {
+		return nil, fmt.Errorf("core: building site oracle: %w", err)
 	}
-	so.faceSites = make([][]int32, m.NumFaces())
+	so.oracle = o
+	// The inner oracle's point table is the site list; alias it so only one
+	// copy stays resident (decode restores the same aliasing).
+	if so.sites, err = o.Points(); err != nil {
+		return nil, err
+	}
+	return so, nil
+}
+
+// terrainSites lays out the terrain's sites with ids starting at base:
+// every mesh vertex (vertex v is site base+v), then per distinct edge per
+// evenly spaced Steiner sites. faceSites lists, per face, the ids of the
+// sites on its corners and edges.
+func terrainSites(m *terrain.Mesh, per int, base int32) (sites []terrain.SurfacePoint, faceSites [][]int32) {
+	for v := 0; v < m.NumVerts(); v++ {
+		sites = append(sites, m.VertexPoint(int32(v)))
+	}
+	faceSites = make([][]int32, m.NumFaces())
 	for f := int32(0); f < int32(m.NumFaces()); f++ {
 		fa := m.Faces[f]
-		so.faceSites[f] = append(so.faceSites[f], fa[0], fa[1], fa[2])
+		faceSites[f] = append(faceSites[f], base+fa[0], base+fa[1], base+fa[2])
 	}
 	seen := make(map[int32][]int32) // canonical halfedge -> site ids
 	for h := int32(0); h < int32(m.NumHalfedges()); h++ {
@@ -106,29 +145,17 @@ func BuildSiteOracle(eng geodesic.Engine, m *terrain.Mesh, opt SiteOptions) (*Si
 			for k := 1; k <= per; k++ {
 				t := float64(k) / float64(per+1)
 				p := m.Verts[che.Org].Lerp(m.Verts[che.Dst], t)
-				id := int32(len(so.sites))
+				id := base + int32(len(sites))
 				// The site lies on the shared edge; attach it to the
 				// canonical half-edge's face.
-				so.sites = append(so.sites, terrain.SurfacePoint{Face: che.Face, Vert: -1, P: p})
+				sites = append(sites, terrain.SurfacePoint{Face: che.Face, Vert: -1, P: p})
 				ids = append(ids, id)
 			}
 			seen[canon] = ids
 		}
-		so.faceSites[he.Face] = append(so.faceSites[he.Face], ids...)
+		faceSites[he.Face] = append(faceSites[he.Face], ids...)
 	}
-
-	// The container carries the mesh once; the inner image embeds none.
-	o, err := buildOracle(eng, so.sites, opt.Options, m, false)
-	if err != nil {
-		return nil, fmt.Errorf("core: building site oracle: %w", err)
-	}
-	so.oracle = o
-	// The inner oracle's point table is the site list; alias it so only one
-	// copy stays resident (decode restores the same aliasing).
-	if so.sites, err = o.Points(); err != nil {
-		return nil, err
-	}
-	return so, nil
+	return sites, faceSites
 }
 
 // QueryPoints returns the ε-approximate geodesic distance between two
@@ -218,10 +245,11 @@ func (so *SiteOracle) Nearest(x, y float64) (int32, terrain.SurfacePoint, float6
 func (so *SiteOracle) neighborhood(p terrain.SurfacePoint) []int32 {
 	if p.Vert >= 0 {
 		// The vertex itself is a site.
-		if int(p.Vert) >= len(so.sites) {
+		v := int32(so.npois) + p.Vert
+		if int(v) >= len(so.sites) {
 			return nil
 		}
-		return []int32{p.Vert}
+		return []int32{v}
 	}
 	if p.Face < 0 || int(p.Face) >= len(so.faceSites) {
 		return nil
@@ -231,6 +259,10 @@ func (so *SiteOracle) neighborhood(p terrain.SurfacePoint) []int32 {
 
 // NumSites returns the number of sites the oracle indexes.
 func (so *SiteOracle) NumSites() int { return len(so.sites) }
+
+// NumPOISites returns how many leading sites are POIs (site id g is POI g);
+// 0 for a site oracle over the terrain alone.
+func (so *SiteOracle) NumPOISites() int { return so.npois }
 
 // NeighborhoodSize returns the typical |X_s| of a face-interior query point.
 func (so *SiteOracle) NeighborhoodSize() int {
@@ -273,7 +305,8 @@ func (so *SiteOracle) Stats() IndexStats {
 
 // EncodeTo writes the site oracle as a tagged container (kind "a2a"): the
 // inner oracle's image (whose point slab is the site table), the terrain
-// mesh, the per-face site lists, and the regime thresholds. The locator
+// mesh, the per-face site lists, and the site meta (the regime thresholds,
+// the per-edge density and, when there are any, the POI-site count). The locator
 // and geodesic engine are derived state, rebuilt on load — so loading never
 // re-runs an SSAD.
 func (so *SiteOracle) EncodeTo(w io.Writer) error {
@@ -298,6 +331,13 @@ func (so *SiteOracle) EncodeTo(w io.Writer) error {
 	}
 	if err := binary.Write(&meta, binary.LittleEndian, int64(so.sitesPerEdge)); err != nil {
 		return err
+	}
+	// The POI-site count is written only when there are POI sites, so a
+	// site oracle over the terrain alone keeps the 24-byte meta.
+	if so.npois > 0 {
+		if err := binary.Write(&meta, binary.LittleEndian, int64(so.npois)); err != nil {
+			return err
+		}
 	}
 	return writeContainer(w, KindA2A, []section{
 		bytesSection(secFlat, so.oracle.body),
@@ -366,7 +406,7 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	}
 	mr := bytes.NewReader(secs[secSiteMeta])
 	var thresholds [2]float64
-	var per int64
+	var per, npois int64
 	if err := binary.Read(mr, binary.LittleEndian, &thresholds); err != nil {
 		return nil, fmt.Errorf("site-meta section: %w", err)
 	}
@@ -375,6 +415,15 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 	}
 	if !finite(thresholds[0]) || thresholds[0] < 0 || !finite(thresholds[1]) || thresholds[1] < 0 || per < 0 || per > 1<<20 {
 		return nil, fmt.Errorf("implausible site meta (threshold %g, spacing %g, per-edge %d)", thresholds[0], thresholds[1], per)
+	}
+	// A 24-byte meta (no POI-site count) indexes no POIs.
+	if mr.Len() > 0 {
+		if err := binary.Read(mr, binary.LittleEndian, &npois); err != nil {
+			return nil, fmt.Errorf("site-meta section: %w", err)
+		}
+		if npois < 1 || npois+int64(mesh.NumVerts()) > int64(len(sites)) {
+			return nil, fmt.Errorf("site meta declares %d POI sites; %d sites hold %d vertices after them", npois, len(sites), mesh.NumVerts())
+		}
 	}
 	if err := expectDrained(mr, "site-meta section"); err != nil {
 		return nil, err
@@ -394,6 +443,7 @@ func decodeA2AContainer(secs map[uint32][]byte) (DistanceIndex, error) {
 		oracle:         inner,
 		mesh:           mesh,
 		sites:          sites,
+		npois:          int(npois),
 		faceSites:      faceSites,
 		locator:        terrain.NewLocator(mesh),
 		eng:            eng,

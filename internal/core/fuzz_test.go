@@ -127,10 +127,12 @@ func FuzzDecode(f *testing.F) {
 	// every slab.
 	flatFlip := append([]byte(nil), seCont.Bytes()...)
 	flatFlip[len(flatFlip)/2] ^= 0x10
-	// Hierarchical multi: a 2-level LOD container plus targeted damage to its
+	// Hierarchical multi: a 2-level LOD container whose coarse member indexes
+	// the global POIs as its leading sites, plus targeted damage to its
 	// hierarchy and portal sections — bad LOD links (self-parent), orphan
-	// children (parent beyond the manifest), a lying portal count and a
-	// portal-id mismatch all start zero mutations away. The byte-image loader
+	// children (parent beyond the manifest), a lying portal count, a
+	// portal-id mismatch and a coarse POI count that disagrees with the
+	// member body all start zero mutations away. The byte-image loader
 	// skips the outer CRC for multi containers, so these reach the hierarchy
 	// decoder directly; it must error, never fault.
 	lodSh, err := BuildShardedLOD(eng, m, pois, 2, LODOptions{
@@ -138,6 +140,9 @@ func FuzzDecode(f *testing.F) {
 	})
 	if err != nil {
 		f.Fatal(err)
+	}
+	if c := lodSh.hier.coarseOrd[0]; lodSh.hier.npois[c] != lodSh.hier.total {
+		f.Fatalf("coarse member indexes %d POIs, want all %d", lodSh.hier.npois[c], lodSh.hier.total)
 	}
 	var lodCont bytes.Buffer
 	if err := lodSh.EncodeTo(&lodCont); err != nil {
@@ -165,9 +170,13 @@ func FuzzDecode(f *testing.F) {
 		s := secs[secPortals]
 		binary.LittleEndian.PutUint32(s[8+8:], binary.LittleEndian.Uint32(s[8+8:])+1) // first link's IDA off by one
 	})
+	coarseNoPOIs := hierMut(func(secs map[uint32][]byte) {
+		last := len(lodSh.members) - 1 // the coarse member
+		binary.LittleEndian.PutUint64(secs[secHierarchy][8+last*14+6:], 0)
+	})
 	for _, seed := range append(legacy, seCont.Bytes(), a2aCont.Bytes(), dynCont.Bytes(),
 		multiCont.Bytes(), flatFlip,
-		lodCont.Bytes(), selfParent, orphanChild, portalCountLie, portalIDFlip) {
+		lodCont.Bytes(), selfParent, orphanChild, portalCountLie, portalIDFlip, coarseNoPOIs) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		// Kind-tag flip without CRC repair: must die at the footer check.

@@ -20,8 +20,12 @@ import (
 //     fine tiles; their real POIs concatenated in manifest order form the
 //     index's *global id space*, so id-addressed queries need no member
 //     name. Members at level > 0 are coarse tiles (site-based A2A oracles
-//     spanning many fine tiles) that answer long-range cross-tile queries;
-//     they expose no ids of their own (npois = 0).
+//     spanning many fine tiles) that answer long-range cross-tile queries.
+//     A coarse member declares npois = the global id count when it indexes
+//     the global POIs as its leading sites (site g is global POI g), and
+//     then answers a coarse-routed id pair with one probe of its inner SE
+//     oracle; npois = 0 (older containers) routes id pairs between the
+//     POIs' surface points instead. No other count is valid.
 //   - secPortals (optional) lists boundary portals: surface points on shared
 //     fine-tile edges that were appended to BOTH adjacent tiles' POI lists
 //     at build time (after the real POIs, so they stay out of the global id
@@ -130,9 +134,6 @@ func buildHierMeta(levels []uint16, parents []int32, npois []int64, portals []Po
 				maxDiag = d
 			}
 		} else {
-			if npois[i] != 0 {
-				return nil, fmt.Errorf("coarse member %d (level %d) declares %d POIs; coarse members expose no ids", i, levels[i], npois[i])
-			}
 			h.coarseOrd = append(h.coarseOrd, int32(i))
 		}
 	}
@@ -153,6 +154,11 @@ func buildHierMeta(levels []uint16, parents []int32, npois []int64, portals []Po
 	h.total = h.fineBase[len(h.fineOrd)]
 	if h.total > 1<<31 {
 		return nil, fmt.Errorf("global id space holds %d POIs (max 2^31)", h.total)
+	}
+	for _, ord := range h.coarseOrd {
+		if npois[ord] != 0 && npois[ord] != h.total {
+			return nil, fmt.Errorf("coarse member %d (level %d) declares %d POIs; a coarse member indexes all %d global POIs or none", ord, levels[ord], npois[ord], h.total)
+		}
 	}
 	h.spanCut = 2 * maxDiag
 
@@ -429,11 +435,13 @@ func (sh *ShardedIndex) globalPoint(id int32) terrain.SurfacePoint {
 // given planar span: the finest coarse level, stepping to coarser ones when
 // the span is several tile diagonals (level selection by query span), and
 // skipping quarantined coarse members. The resolved member must be a
-// PointIndex (the a2a capability); lazy members fault on first use.
-func (sh *ShardedIndex) coarseFor(span float64) (PointIndex, error) {
+// PointIndex (the a2a capability); lazy members fault on first use. ids
+// reports whether the member indexes the global POIs as its leading sites,
+// so that site id g answers for global id g.
+func (sh *ShardedIndex) coarseFor(span float64) (pi PointIndex, ids bool, err error) {
 	h := sh.hier
 	if len(h.coarseOrd) == 0 {
-		return nil, fmt.Errorf("core: multi index has no coarse level")
+		return nil, false, fmt.Errorf("core: multi index has no coarse level")
 	}
 	// With L coarse levels, spans beyond 2^l × spanCut step to level l+1.
 	want := 0
@@ -449,22 +457,26 @@ func (sh *ShardedIndex) coarseFor(span float64) (PointIndex, error) {
 		if i < 0 || i >= len(h.coarseOrd) {
 			continue
 		}
-		k := sh.memAt[h.coarseOrd[i]]
+		ord := h.coarseOrd[i]
+		k := sh.memAt[ord]
 		if k < 0 {
 			continue
 		}
 		if pi, ok := sh.members[k].Index.(PointIndex); ok {
-			return pi, nil
+			return pi, h.total > 0 && h.npois[ord] == h.total, nil
 		}
 	}
-	return nil, fmt.Errorf("core: no coarse member can answer point queries")
+	return nil, false, fmt.Errorf("core: no coarse member can answer point queries")
 }
 
-// crossQuery answers a query whose endpoints live in different fine members:
-// short-range straddling pairs stitch through the boundary portals the two
-// members share; long-range pairs (and pairs of non-adjacent members) route
-// to the coarse level.
-func (sh *ShardedIndex) crossQuery(ka int, la int32, kb int, lb int32) (float64, error) {
+// crossQuery answers a query for global ids s and t whose endpoints live in
+// different fine members (ka, la and kb, lb): short-range straddling pairs
+// stitch through the boundary portals the two members share; long-range
+// pairs (and pairs of non-adjacent members) route to the coarse level. A
+// coarse member that indexes the global POIs answers with one probe of its
+// inner SE oracle, within (1±ε); one over the terrain alone answers the
+// POIs' surface points.
+func (sh *ShardedIndex) crossQuery(s, t int32, ka int, la int32, kb int, lb int32) (float64, error) {
 	h := sh.hier
 	ordA, ordB := int32(sh.ord[ka]), int32(sh.ord[kb])
 	pa, err := surfacePointOf(sh.members[ka].Index, la)
@@ -478,8 +490,14 @@ func (sh *ShardedIndex) crossQuery(ka int, la int32, kb int, lb int32) (float64,
 	links := h.linksBetween(ordA, ordB)
 	span := math.Hypot(pa.P.X-pb.P.X, pa.P.Y-pb.P.Y)
 	if len(links) == 0 || (span > h.spanCut && len(h.coarseOrd) > 0) {
-		if pi, cerr := sh.coarseFor(span); cerr == nil {
-			d, qerr := pi.QueryPoints(pa, pb)
+		if pi, ids, cerr := sh.coarseFor(span); cerr == nil {
+			var d float64
+			var qerr error
+			if ids {
+				d, qerr = pi.Query(s, t)
+			} else {
+				d, qerr = pi.QueryPoints(pa, pb)
+			}
 			if qerr == nil {
 				sh.coarseQueries.Add(1)
 				return d, nil
@@ -518,8 +536,9 @@ func (sh *ShardedIndex) crossQuery(ka int, la int32, kb int, lb int32) (float64,
 
 // crossPath mirrors crossQuery for path reporting: the best portal's two
 // member paths concatenated at the (bit-identical) portal point, or the
-// coarse member's point-to-point path.
-func (sh *ShardedIndex) crossPath(ka int, la int32, kb int, lb int32) ([]terrain.SurfacePoint, float64, error) {
+// coarse member's path — between sites s and t when it indexes the global
+// POIs, else between the POIs' surface points.
+func (sh *ShardedIndex) crossPath(s, t int32, ka int, la int32, kb int, lb int32) ([]terrain.SurfacePoint, float64, error) {
 	h := sh.hier
 	ordA, ordB := int32(sh.ord[ka]), int32(sh.ord[kb])
 	pa, err := surfacePointOf(sh.members[ka].Index, la)
@@ -533,9 +552,16 @@ func (sh *ShardedIndex) crossPath(ka int, la int32, kb int, lb int32) ([]terrain
 	links := h.linksBetween(ordA, ordB)
 	span := math.Hypot(pa.P.X-pb.P.X, pa.P.Y-pb.P.Y)
 	if len(links) == 0 || (span > h.spanCut && len(h.coarseOrd) > 0) {
-		if pi, cerr := sh.coarseFor(span); cerr == nil {
+		if pi, ids, cerr := sh.coarseFor(span); cerr == nil {
 			if pp, ok := pi.(PointPathIndex); ok {
-				path, d, qerr := pp.QueryPathPoints(pa, pb)
+				var path []terrain.SurfacePoint
+				var d float64
+				var qerr error
+				if ids {
+					path, d, qerr = pp.QueryPath(s, t)
+				} else {
+					path, d, qerr = pp.QueryPathPoints(pa, pb)
+				}
 				if qerr == nil {
 					sh.coarseQueries.Add(1)
 					return path, d, nil
@@ -740,7 +766,7 @@ func (sh *ShardedIndex) Project(x, y float64) (terrain.SurfacePoint, bool) {
 			return p, true
 		}
 	}
-	if pi, err := sh.coarseFor(0); err == nil {
+	if pi, _, err := sh.coarseFor(0); err == nil {
 		return pi.Project(x, y)
 	}
 	return terrain.SurfacePoint{}, false
@@ -754,7 +780,7 @@ func (sh *ShardedIndex) QueryXY(sx, sy, tx, ty float64) (float64, error) {
 			return pi.QueryXY(sx, sy, tx, ty)
 		}
 	}
-	if pi, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
+	if pi, _, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
 		d, qerr := pi.QueryXY(sx, sy, tx, ty)
 		if qerr == nil {
 			sh.coarseQueries.Add(1)
@@ -783,7 +809,7 @@ func (sh *ShardedIndex) QueryPathXY(sx, sy, tx, ty float64) ([]terrain.SurfacePo
 			return pi.QueryPathXY(sx, sy, tx, ty)
 		}
 	}
-	if pi, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
+	if pi, _, err := sh.coarseFor(math.Hypot(tx-sx, ty-sy)); err == nil {
 		if pp, ok := pi.(PointPathIndex); ok {
 			path, d, qerr := pp.QueryPathXY(sx, sy, tx, ty)
 			if qerr == nil {

@@ -30,6 +30,50 @@ func lodOpt(eps float64, seed int64) LODOptions {
 	return LODOptions{Options: Options{Epsilon: eps, Seed: seed}, Levels: 2, PortalsPerEdge: 12}
 }
 
+// lodFixture is the one 2-level world shared by the LOD tests that only
+// read a built index or its image: building a coarse member is the most
+// expensive thing the suite does, under -race above all, so it is built
+// once per test binary. Tests must not assume the routing counters start
+// at zero (another test may have queried first); they compare deltas.
+type lodFixture struct {
+	w   *testWorld
+	opt LODOptions
+	sh  *ShardedIndex
+	img []byte // sh.EncodeTo
+}
+
+var (
+	lodFixtureOnce sync.Once
+	lodFixtureVal  *lodFixture
+)
+
+// sharedLOD returns the shared fixture: 24 POIs on an 11×11 terrain, four
+// tiles, two levels, ε 0.25.
+func sharedLOD(t *testing.T) *lodFixture {
+	t.Helper()
+	lodFixtureOnce.Do(func() {
+		w := newTestWorld(t, 11, 24, 51)
+		opt := lodOpt(0.25, 52)
+		sh := buildLOD(t, w, 4, opt)
+		var img bytes.Buffer
+		if err := sh.EncodeTo(&img); err != nil {
+			t.Fatal(err)
+		}
+		lodFixtureVal = &lodFixture{w: w, opt: opt, sh: sh, img: img.Bytes()}
+	})
+	if lodFixtureVal == nil {
+		t.Fatal("the shared LOD fixture failed to build")
+	}
+	return lodFixtureVal
+}
+
+// coarseRouted runs q and reports whether it took the coarse route.
+func coarseRouted(sh *ShardedIndex, q func()) bool {
+	before := sh.coarseQueries.Load()
+	q()
+	return sh.coarseQueries.Load() > before
+}
+
 // globalToPOI maps every global id back to its index in the original POI set
 // (the builder never perturbs coordinates).
 func globalToPOI(t *testing.T, sh *ShardedIndex, w *testWorld) []int {
@@ -67,8 +111,8 @@ func maxPortalSpacing(sh *ShardedIndex, per int) float64 {
 }
 
 func TestLODBuildShape(t *testing.T) {
-	w := newTestWorld(t, 11, 30, 41)
-	sh := buildLOD(t, w, 4, lodOpt(0.2, 42))
+	fx := sharedLOD(t)
+	w, sh := fx.w, fx.sh
 	if got := sh.NumGlobalIDs(); got != len(w.pois) {
 		t.Fatalf("global id space %d, want %d (the real POIs)", got, len(w.pois))
 	}
@@ -83,8 +127,14 @@ func TestLODBuildShape(t *testing.T) {
 	if fine < 2 || coarse != 1 {
 		t.Fatalf("want >= 2 fine tiles and exactly 1 coarse member, got %d/%d", fine, coarse)
 	}
-	if _, ok := sh.Member("coarse-1"); !ok {
+	coarse1, ok := sh.Member("coarse-1")
+	if !ok {
 		t.Fatal("coarse member coarse-1 missing")
+	}
+	so := coarse1.Index.(*SiteOracle)
+	if c := sh.hier.coarseOrd[0]; sh.hier.npois[c] != int64(len(w.pois)) || so.NumPOISites() != len(w.pois) {
+		t.Fatalf("coarse member declares %d POIs and indexes %d POI sites, want all %d",
+			sh.hier.npois[c], so.NumPOISites(), len(w.pois))
 	}
 	if len(sh.hier.portals) == 0 {
 		t.Fatal("adjacent tiles produced no portal links")
@@ -202,8 +252,8 @@ func TestLODCrossTilePath(t *testing.T) {
 // cross-tile fleet matrix, nearest-k and isochrone all work on a
 // hierarchical index where a legacy multi errors.
 func TestLODWorkloadsCrossTile(t *testing.T) {
-	w := newTestWorld(t, 11, 20, 47)
-	sh := buildLOD(t, w, 4, lodOpt(0.25, 48))
+	fx := sharedLOD(t)
+	w, sh := fx.w, fx.sh
 	n := sh.NumGlobalIDs()
 	srcs := []int32{0, int32(n / 2)}
 	dsts := []int32{int32(n - 1), int32(n / 3), 1}
@@ -254,17 +304,15 @@ func TestLODWorkloadsCrossTile(t *testing.T) {
 }
 
 // Builds must be deterministic across worker counts, and the streaming
-// writer must be byte-identical to the resident build + encode, in both
-// layouts.
+// writer must be byte-identical to the resident build + encode and to the
+// resident index converted to the flat layout (WriteSharded ignores its
+// layout argument: every SE member is flat).
 func TestLODDeterministicEncode(t *testing.T) {
-	w := newTestWorld(t, 11, 26, 49)
-	opt := lodOpt(0.25, 50)
-	var resident, workers8, streamed, streamedFlat bytes.Buffer
+	fx := sharedLOD(t)
+	w, opt, sh := fx.w, fx.opt, fx.sh
+	resident := bytes.NewBuffer(fx.img)
 
-	sh := buildLOD(t, w, 4, opt)
-	if err := sh.EncodeTo(&resident); err != nil {
-		t.Fatal(err)
-	}
+	var workers8, streamed bytes.Buffer
 	opt8 := opt
 	opt8.Workers = 8
 	if err := buildLOD(t, w, 4, opt8).EncodeTo(&workers8); err != nil {
@@ -274,7 +322,7 @@ func TestLODDeterministicEncode(t *testing.T) {
 		t.Fatal("Workers=1 vs Workers=8 containers differ")
 	}
 
-	sum, err := WriteSharded(&streamed, w.eng, w.mesh, w.pois, 4, opt, false)
+	sum, err := WriteSharded(&streamed, w.eng, w.mesh, w.pois, 4, opt, true)
 	if err != nil {
 		t.Fatalf("WriteSharded: %v", err)
 	}
@@ -293,11 +341,8 @@ func TestLODDeterministicEncode(t *testing.T) {
 	if err := flat.(*ShardedIndex).EncodeTo(&residentFlat); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteSharded(&streamedFlat, w.eng, w.mesh, w.pois, 4, opt, true); err != nil {
-		t.Fatalf("WriteSharded flat: %v", err)
-	}
-	if !bytes.Equal(residentFlat.Bytes(), streamedFlat.Bytes()) {
-		t.Fatal("streamed flat container differs from ConvertFlat + EncodeTo")
+	if !bytes.Equal(residentFlat.Bytes(), streamed.Bytes()) {
+		t.Fatal("streamed container differs from ConvertFlat + EncodeTo")
 	}
 	// The single-level streaming path must equal the resident build.
 	var plainResident, plainStream bytes.Buffer
@@ -317,13 +362,8 @@ func TestLODDeterministicEncode(t *testing.T) {
 // index and re-encode byte-identically; a lazy re-encode must not fault
 // anything in.
 func TestLODRoundTrip(t *testing.T) {
-	w := newTestWorld(t, 11, 24, 51)
-	opt := lodOpt(0.25, 52)
-	sh := buildLOD(t, w, 4, opt)
-	var img bytes.Buffer
-	if err := sh.EncodeTo(&img); err != nil {
-		t.Fatal(err)
-	}
+	fx := sharedLOD(t)
+	sh, img := fx.sh, bytes.NewBuffer(fx.img)
 
 	eager, err := LoadBytes(img.Bytes(), nil)
 	if err != nil {
@@ -377,13 +417,9 @@ func TestLODRoundTrip(t *testing.T) {
 // A budget smaller than one decoded tile must still serve every query
 // (the faulting member is never its own victim) while evicting members.
 func TestLODEvictionUnderBudget(t *testing.T) {
-	w := newTestWorld(t, 11, 24, 53)
-	sh := buildLOD(t, w, 4, lodOpt(0.25, 54))
-	var img bytes.Buffer
-	if err := sh.EncodeTo(&img); err != nil {
-		t.Fatal(err)
-	}
-	lazyIdx, _, err := LoadBytesOpts(img.Bytes(), nil, LoadOptions{MemBudget: 1})
+	fx := sharedLOD(t)
+	sh := fx.sh
+	lazyIdx, _, err := LoadBytesOpts(fx.img, nil, LoadOptions{MemBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,13 +458,9 @@ func TestLODEvictionUnderBudget(t *testing.T) {
 // queries (faulting members in) while the 1-byte budget forces constant
 // eviction. Run under -race this proves no torn reads.
 func TestLODEvictionSoak(t *testing.T) {
-	w := newTestWorld(t, 11, 20, 55)
-	sh := buildLOD(t, w, 4, lodOpt(0.3, 56))
-	var img bytes.Buffer
-	if err := sh.EncodeTo(&img); err != nil {
-		t.Fatal(err)
-	}
-	lazyIdx, _, err := LoadBytesOpts(img.Bytes(), nil, LoadOptions{MemBudget: 1})
+	fx := sharedLOD(t)
+	sh := fx.sh
+	lazyIdx, _, err := LoadBytesOpts(fx.img, nil, LoadOptions{MemBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,9 +556,9 @@ func TestLegacyCrossMemberError(t *testing.T) {
 // On a hierarchical index the same straddling coordinate query routes to the
 // coarse member instead of failing.
 func TestLODCoordinateCrossTile(t *testing.T) {
-	w := newTestWorld(t, 11, 24, 59)
-	eps := 0.25
-	sh := buildLOD(t, w, 4, lodOpt(eps, 60))
+	fx := sharedLOD(t)
+	w, sh, eps := fx.w, fx.sh, fx.opt.Epsilon
+	before, _ := sh.TileStats()
 	var a, b terrain.SurfacePoint
 	found := false
 	for _, p := range w.pois {
@@ -563,7 +595,7 @@ func TestLODCoordinateCrossTile(t *testing.T) {
 		t.Fatalf("coarse path inconsistent: %d points, %g vs %g", len(path), segLength(path), pd)
 	}
 	ts, _ := sh.TileStats()
-	if ts.CoarseQueries == 0 {
+	if ts.CoarseQueries == before.CoarseQueries {
 		t.Fatal("coordinate cross-tile query did not use the coarse route")
 	}
 }
@@ -572,14 +604,10 @@ func TestLODCoordinateCrossTile(t *testing.T) {
 // load; global ids owned by it fail naming the member, other ids still
 // answer, and re-encode refuses (it would renumber the id space).
 func TestLODDegradedLoad(t *testing.T) {
-	w := newTestWorld(t, 11, 24, 61)
-	sh := buildLOD(t, w, 4, lodOpt(0.25, 62))
-	var img bytes.Buffer
-	if err := sh.EncodeTo(&img); err != nil {
-		t.Fatal(err)
-	}
+	fx := sharedLOD(t)
+	sh := fx.sh
 	// Find a fine member's section and flip a payload byte deep inside it.
-	data := append([]byte(nil), img.Bytes()...)
+	data := append([]byte(nil), fx.img...)
 	_, secs, err := sliceContainer(data)
 	if err != nil {
 		t.Fatal(err)
@@ -661,12 +689,10 @@ func TestLODDegradedLoad(t *testing.T) {
 // shared state like the manifest: without it there is no trustworthy global
 // id space to degrade to).
 func TestHierarchyDecodeRejectsDamage(t *testing.T) {
-	w := newTestWorld(t, 11, 20, 65)
-	sh := buildLOD(t, w, 4, lodOpt(0.3, 66))
-	var img bytes.Buffer
-	if err := sh.EncodeTo(&img); err != nil {
-		t.Fatal(err)
-	}
+	fx := sharedLOD(t)
+	sh := fx.sh
+	img := bytes.NewBuffer(fx.img)
+	coarseNPOIs := 8 + (len(sh.members)-1)*14 + 6 // the coarse member's hierarchy npois
 	mutations := map[string]func(secs map[uint32][]byte){
 		"self parent": func(secs map[uint32][]byte) {
 			binary.LittleEndian.PutUint32(secs[secHierarchy][8+2:], 0)
@@ -677,9 +703,11 @@ func TestHierarchyDecodeRejectsDamage(t *testing.T) {
 		"level beyond max": func(secs map[uint32][]byte) {
 			binary.LittleEndian.PutUint16(secs[secHierarchy][8:], maxLODLevels+1)
 		},
-		"coarse member with POIs": func(secs map[uint32][]byte) {
-			n := len(sh.members)
-			binary.LittleEndian.PutUint64(secs[secHierarchy][8+(n-1)*14+6:], 5)
+		"coarse POI count neither 0 nor total": func(secs map[uint32][]byte) {
+			binary.LittleEndian.PutUint64(secs[secHierarchy][coarseNPOIs:], 5)
+		},
+		"coarse POI count past total": func(secs map[uint32][]byte) {
+			binary.LittleEndian.PutUint64(secs[secHierarchy][coarseNPOIs:], uint64(sh.NumGlobalIDs()+1))
 		},
 		"portal count lie": func(secs map[uint32][]byte) {
 			binary.LittleEndian.PutUint64(secs[secPortals][0:], 1<<19)
@@ -714,18 +742,44 @@ func TestHierarchyDecodeRejectsDamage(t *testing.T) {
 			t.Errorf("%s: lazy load accepted damaged hierarchy", name)
 		}
 	}
+
+	// A well-formed hierarchy whose coarse POI count (0) disagrees with the
+	// POI sites the coarse body indexes is member damage: fatal to an eager
+	// load, ErrMemberFault on a lazy load once a query touches the member.
+	data := append([]byte(nil), fx.img...)
+	_, secs, err := sliceContainer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(secs[secHierarchy][coarseNPOIs:], 0)
+	if _, err := LoadBytes(data, nil); err == nil {
+		t.Error("eager load accepted a coarse member whose POI sites disagree with the hierarchy")
+	}
+	lazyIdx, _, err := LoadBytesOpts(data, nil, LoadOptions{MemBudget: 1 << 30})
+	if err != nil {
+		t.Fatalf("lazy load must defer member checks to the first touch: %v", err)
+	}
+	lsh := lazyIdx.(*ShardedIndex)
+	faults := 0
+	for s := int32(0); s < int32(lsh.NumGlobalIDs()); s++ {
+		for q := int32(0); q < int32(lsh.NumGlobalIDs()); q++ {
+			if _, err := lsh.Query(s, q); err != nil {
+				if !errors.Is(err, ErrMemberFault) {
+					t.Fatalf("Query(%d,%d): %v, want ErrMemberFault", s, q, err)
+				}
+				faults++
+			}
+		}
+	}
+	if faults == 0 {
+		t.Fatal("no coarse-routed query touched the damaged coarse member")
+	}
 }
 
 // Sticky member faults surface as ErrMemberFault (the serving layer's 503)
 // under a lazy load with a corrupt member body.
 func TestLODLazyFaultSticky(t *testing.T) {
-	w := newTestWorld(t, 11, 24, 63)
-	sh := buildLOD(t, w, 4, lodOpt(0.25, 64))
-	var img bytes.Buffer
-	if err := sh.EncodeTo(&img); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), img.Bytes()...)
+	data := append([]byte(nil), sharedLOD(t).img...)
 	_, secs, err := sliceContainer(data)
 	if err != nil {
 		t.Fatal(err)
@@ -815,6 +869,136 @@ func TestLODBuildAsymmetricSSAD(t *testing.T) {
 		}
 		if pairs == 0 {
 			t.Fatalf("%d portals per edge: no same-tile pair checked", per)
+		}
+	}
+}
+
+// TestLODCoarseRouteEps holds the coarse route to the paper's bound. The
+// coarse member indexes the global POIs as its leading sites (site g is
+// global POI g, bit for bit), so a coarse-routed id pair is one probe of its
+// inner SE oracle: the answer must be Float64bits-equal to the coarse
+// member's Query(g, h) and within (1±ε)·exact with no additive slack, and
+// id traffic must never fall into the site oracle's short-range exact
+// regime. The shared fixture and four more seeded worlds are swept; the
+// extra worlds use one Steiner site per edge, which keeps their coarse
+// builds cheap under -race and leaves the id route's bound untouched (it is
+// the SE oracle's own, whatever the site density).
+func TestLODCoarseRouteEps(t *testing.T) {
+	type world struct {
+		w   *testWorld
+		opt LODOptions
+		sh  *ShardedIndex
+	}
+	fx := sharedLOD(t)
+	worlds := []world{{fx.w, fx.opt, fx.sh}}
+	for _, seed := range []int64{71, 73, 79, 83} {
+		w := newTestWorld(t, 9, 16, seed)
+		opt := lodOpt(0.2, seed+1)
+		opt.SitesPerEdge = 1
+		worlds = append(worlds, world{w, opt, buildLOD(t, w, 4, opt)})
+	}
+	for wi, wd := range worlds {
+		sh, eps := wd.sh, wd.opt.Epsilon
+		cm, ok := sh.Member("coarse-1")
+		if !ok {
+			t.Fatalf("world %d: no coarse member", wi)
+		}
+		so := cm.Index.(*SiteOracle)
+		n := int32(sh.NumGlobalIDs())
+		if so.NumPOISites() != int(n) {
+			t.Fatalf("world %d: coarse member indexes %d POI sites, want %d", wi, so.NumPOISites(), n)
+		}
+		g2p := globalToPOI(t, sh, wd.w)
+		for g := int32(0); g < n; g++ {
+			p := wd.w.pois[g2p[g]]
+			if s := so.sites[g]; s.Face != p.Face || s.Vert != p.Vert ||
+				math.Float64bits(s.P.X) != math.Float64bits(p.P.X) ||
+				math.Float64bits(s.P.Y) != math.Float64bits(p.P.Y) ||
+				math.Float64bits(s.P.Z) != math.Float64bits(p.P.Z) {
+				t.Fatalf("world %d: coarse site %d is %+v, global POI %d is %+v", wi, g, s, g, p)
+			}
+		}
+		local := so.LocalQueries()
+		coarse := 0
+		for s := int32(0); s < n; s++ {
+			for q := int32(0); q < n; q++ {
+				var d float64
+				var err error
+				if !coarseRouted(sh, func() { d, err = sh.Query(s, q) }) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("world %d: Query(%d,%d): %v", wi, s, q, err)
+				}
+				coarse++
+				want, err := so.Query(s, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(d) != math.Float64bits(want) {
+					t.Fatalf("world %d: coarse-routed Query(%d,%d) = %v, coarse member's Query = %v", wi, s, q, d, want)
+				}
+				exact := wd.w.exact[g2p[s]][g2p[q]]
+				if d < (1-eps)*exact || d > (1+eps)*exact {
+					t.Fatalf("world %d: coarse-routed Query(%d,%d) = %v outside (1±%g)·%v", wi, s, q, d, eps, exact)
+				}
+			}
+		}
+		if coarse == 0 {
+			t.Fatalf("world %d: no pair took the coarse route", wi)
+		}
+		if got := so.LocalQueries(); got != local {
+			t.Fatalf("world %d: id traffic ran %d short-range exact SSADs on the coarse member", wi, got-local)
+		}
+	}
+}
+
+// The coarse members index the global POIs, in global id order, unless a
+// POI sits exactly on a coarse site (V2V POIs on the mesh vertices): an SE
+// oracle cannot index one point twice, so those coarse members index the
+// terrain alone and declare no POIs.
+func TestLODPlanCoarsePOIs(t *testing.T) {
+	m, err := gen.Fractal(gen.FractalSpec{NX: 9, NY: 9, CellDX: 10, Amp: 25, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := gen.UniformPOIs(m, 20, 92)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := LODOptions{Options: Options{Epsilon: 0.25, Seed: 93}, Levels: 3, PortalsPerEdge: 2}
+	pl, err := planSharded(m, gen.Dedup(uniform, 1e-9), 4, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var global []terrain.SurfacePoint
+	for _, tile := range pl.tiles {
+		global = append(global, tile.pois[:tile.npois]...)
+	}
+	if len(pl.coarsePOIs) != len(global) {
+		t.Fatalf("coarse members index %d POIs, want all %d", len(pl.coarsePOIs), len(global))
+	}
+	for g := range global {
+		if pl.coarsePOIs[g] != global[g] {
+			t.Fatalf("coarse POI %d is %+v, global POI %d is %+v", g, pl.coarsePOIs[g], g, global[g])
+		}
+	}
+	for j := range pl.coarse {
+		if got := pl.npois[len(pl.tiles)+j]; got != int64(len(global)) {
+			t.Fatalf("coarse member %d declares %d POIs, want %d", j, got, len(global))
+		}
+	}
+
+	pl, err = planSharded(m, gen.VertexPOIs(m), 4, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.coarsePOIs != nil {
+		t.Fatalf("V2V plan indexes %d POIs on its coarse members, which already hold them as vertex sites", len(pl.coarsePOIs))
+	}
+	for j := range pl.coarse {
+		if got := pl.npois[len(pl.tiles)+j]; got != 0 {
+			t.Fatalf("V2V coarse member %d declares %d POIs, want 0", j, got)
 		}
 	}
 }

@@ -141,9 +141,11 @@ type lazyMember struct {
 
 	// npois is the hierarchy's real-POI count (0 for coarse members).
 	// expectPts additionally counts appended portals; -1 (coarse members)
-	// disables the fault-time point check.
+	// disables the fault-time point check. poiSites is a coarse member's
+	// declared POI-site count, checked at fault time (-1 for fine members).
 	npois     int64
 	expectPts int64
+	poiSites  int64
 
 	cur     atomic.Pointer[residentEntry]
 	lastUse atomic.Int64
@@ -195,7 +197,7 @@ func (lm *lazyMember) decode() (DistanceIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkMember(idx, lm.kind, lm.expectPts); err != nil {
+	if err := checkMember(idx, lm.kind, lm.expectPts, lm.poiSites); err != nil {
 		return nil, err
 	}
 	shared, err := lm.rs.sharedMesh()

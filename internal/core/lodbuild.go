@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"seoracle/internal/geodesic"
+	"seoracle/internal/geom"
 	"seoracle/internal/terrain"
 )
 
@@ -123,6 +124,11 @@ type shardPlan struct {
 	links    []PortalLink
 	coarse   []coarsePlan
 	terrBBox BBox2D
+	// coarsePOIs are the global POIs in global id order: every coarse
+	// member's leading sites. It is nil when the coarse members index no
+	// POIs (a POI coincides with a coarse member's vertex or Steiner site,
+	// and an SE oracle cannot index one point twice).
+	coarsePOIs []terrain.SurfacePoint
 
 	// levels/parents/npois are the hierarchy section's arrays.
 	levels  []uint16
@@ -181,6 +187,7 @@ func planSharded(m *terrain.Mesh, pois []terrain.SurfacePoint, shards int, opt L
 	for j, c := range pl.coarse {
 		i := len(tiles) + j
 		pl.levels[i] = c.level
+		pl.npois[i] = int64(len(pl.coarsePOIs))
 		if j+1 < len(pl.coarse) {
 			pl.parents[i] = int32(i + 1)
 		}
@@ -255,6 +262,27 @@ func (pl *shardPlan) planLevels(m *terrain.Mesh, opt LODOptions) error {
 			name: fmt.Sprintf("coarse-%d", l), level: uint16(l), sitesPerEdge: spe,
 		})
 	}
+
+	// Every coarse member indexes the global POIs as its leading sites, so
+	// a coarse-routed id pair is one SE probe (see crossQuery), unless a
+	// POI sits exactly on a coarse site (V2V POIs, say): then the coarse
+	// members index the terrain alone and id pairs take the point route.
+	for i := range tiles {
+		pl.coarsePOIs = append(pl.coarsePOIs, tiles[i].pois[:tiles[i].npois]...)
+	}
+	taken := make(map[geom.Vec3]bool)
+	for _, c := range pl.coarse {
+		sites, _ := terrainSites(m, c.sitesPerEdge, 0)
+		for _, s := range sites {
+			taken[s.P] = true
+		}
+	}
+	for _, p := range pl.coarsePOIs {
+		if taken[p.P] {
+			pl.coarsePOIs = nil
+			break
+		}
+	}
 	if pl.numMembers() > maxShardMembers {
 		return fmt.Errorf("core: plan holds %d members (%d tiles + %d coarse levels, max %d)",
 			pl.numMembers(), len(tiles), len(pl.coarse), maxShardMembers)
@@ -275,7 +303,7 @@ func (pl *shardPlan) buildMember(eng geodesic.Engine, m *terrain.Mesh, i int, op
 		return o, nil
 	}
 	c := pl.coarse[i-len(pl.tiles)]
-	so, err := BuildSiteOracle(eng, m, SiteOptions{Options: opt, SitesPerEdge: c.sitesPerEdge})
+	so, err := buildSiteOracle(eng, m, pl.coarsePOIs, SiteOptions{Options: opt, SitesPerEdge: c.sitesPerEdge})
 	if err != nil {
 		return nil, fmt.Errorf("core: building coarse member %s: %w", c.name, err)
 	}

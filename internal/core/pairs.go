@@ -47,6 +47,10 @@ func enhancedEdges(eng geodesic.Engine, t *ptree, pois []terrain.SurfacePoint, e
 			chunk = 16
 		}
 		dists := make([][]float64, chunk)
+		// Per chunk slot, reused across chunks: the searched targets and
+		// their indices into ids.
+		sub := make([][]terrain.SurfacePoint, chunk)
+		near := make([][]int32, chunk)
 		reaches := make([]float64, chunk)
 		for lo := 0; lo < len(ids); lo += chunk {
 			hi := lo + chunk
@@ -56,18 +60,31 @@ func enhancedEdges(eng geodesic.Engine, t *ptree, pois []terrain.SurfacePoint, e
 			parfor(workers, hi-lo, func(k int) {
 				id := ids[lo+k]
 				reaches[k] = l * t.nodes[id].radius * (1 + 1e-9)
-				dists[k] = eng.DistancesTo(pois[t.nodes[id].center], targets, geodesic.Stop{Radius: reaches[k]})
+				// Geodesic distance is at least the 3-D chord: a center
+				// whose chord exceeds the reach would come back +Inf, so
+				// only the others are searched (same answers, far fewer
+				// targets on the deep layers).
+				src := pois[t.nodes[id].center]
+				sub[k], near[k] = sub[k][:0], near[k][:0]
+				for i, p := range targets {
+					if src.P.Dist(p.P) <= reaches[k]*(1+1e-9) {
+						sub[k] = append(sub[k], p)
+						near[k] = append(near[k], int32(i))
+					}
+				}
+				dists[k] = eng.DistancesTo(src, sub[k], geodesic.Stop{Radius: reaches[k]})
 			})
 			for k := 0; k < hi-lo; k++ {
 				id := ids[lo+k]
 				d := dists[k]
 				dists[k] = nil
-				for i, other := range ids {
-					if math.IsInf(d[i], 1) || d[i] > reaches[k] {
+				for j, i := range near[k] {
+					if math.IsInf(d[j], 1) || d[j] > reaches[k] {
 						continue
 					}
-					edges[packPair(id, other)] = d[i]
-					edges[packPair(other, id)] = d[i]
+					other := ids[i]
+					edges[packPair(id, other)] = d[j]
+					edges[packPair(other, id)] = d[j]
 				}
 			}
 		}

@@ -94,7 +94,9 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 		return t, nil
 	}
 
-	// Step 2: non-root layers.
+	// Step 2: non-root layers. The per-SSAD target buffers are reused.
+	var targets []terrain.SurfacePoint
+	var idx, parents []int32
 	for layer := int32(1); ; layer++ {
 		if layer >= maxLayers {
 			return nil, fmt.Errorf("core: partition tree exceeded %d layers; are POIs deduplicated?", maxLayers)
@@ -143,21 +145,35 @@ func buildPartitionTree(eng geodesic.Engine, pois []terrain.SurfacePoint, sel Se
 
 			// One radius-bounded SSAD covers both needs: POIs within ri
 			// (the new disk) and the nearest previous-layer center (the
-			// parent; within 2*ri by the Covering Property).
-			targets := make([]terrain.SurfacePoint, 0, rem.size+len(prevPts))
-			idx := make([]int32, 0, rem.size)
+			// parent; within 2*ri by the Covering Property). Geodesic
+			// distance is at least the 3-D chord, so a target whose chord
+			// already exceeds the distance it is searched for would come
+			// back +Inf (a center) or stay uncovered (a POI): it is left out
+			// of the SSAD, which answers every other target unchanged.
+			radius := 2 * ri * (1 + 1e-12)
+			src := pois[p].P
+			targets = targets[:0]
+			idx = idx[:0]
 			for _, q := range rem.items() {
-				targets = append(targets, pois[q])
-				idx = append(idx, q)
+				if src.Dist(pois[q].P) <= ri*(1+1e-9) {
+					targets = append(targets, pois[q])
+					idx = append(idx, q)
+				}
 			}
-			targets = append(targets, prevPts...)
-			dist := eng.DistancesTo(pois[p], targets, geodesic.Stop{Radius: 2 * ri * (1 + 1e-12), CoverTargets: false})
+			parents = parents[:0]
+			for i, c := range prevPts {
+				if src.Dist(c.P) <= radius*(1+1e-9) {
+					targets = append(targets, c)
+					parents = append(parents, int32(i))
+				}
+			}
+			dist := eng.DistancesTo(pois[p], targets, geodesic.Stop{Radius: radius, CoverTargets: false})
 
 			// Parent: minimum-distance previous-layer node.
 			bestParent := int32(-1)
 			bestD := math.Inf(1)
-			for i := range prevCenters {
-				if dd := dist[len(idx)+i]; dd < bestD {
+			for j, i := range parents {
+				if dd := dist[len(idx)+j]; dd < bestD {
 					bestD = dd
 					bestParent = prevCenterSet[prevCenters[i]]
 				}

@@ -344,7 +344,7 @@ func (d *DynamicOracle) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, 
 // QueryPath routes like Query, in the global id space: a same-member pair's
 // path comes from the owning member, and a cross-member pair's path is the
 // best portal's two member paths concatenated at the portal point, or the
-// coarse member's point-to-point path (see hierarchy.go).
+// coarse member's path (see hierarchy.go).
 func (sh *ShardedIndex) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, error) {
 	ka, la, err := sh.resolveGlobal(s)
 	if err != nil {
@@ -355,7 +355,7 @@ func (sh *ShardedIndex) QueryPath(s, t int32) ([]terrain.SurfacePoint, float64, 
 		return nil, 0, err
 	}
 	if ka != kb {
-		return sh.crossPath(ka, la, kb, lb)
+		return sh.crossPath(s, t, ka, la, kb, lb)
 	}
 	pi, ok := sh.members[ka].Index.(PathIndex)
 	if !ok {

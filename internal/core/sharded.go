@@ -320,7 +320,7 @@ func (sh *ShardedIndex) Query(s, t int32) (float64, error) {
 	if ka == kb {
 		return sh.members[ka].Index.Query(la, lb)
 	}
-	return sh.crossQuery(ka, la, kb, lb)
+	return sh.crossQuery(s, t, ka, la, kb, lb)
 }
 
 // QueryBatch answers pairs through Query. Part of the DistanceIndex
@@ -577,10 +577,12 @@ func decodeManifest(payload []byte) ([]ShardMember, []Kind, error) {
 	return byOrd, kinds, nil
 }
 
-// checkMember validates a decoded member body against its manifest kind and,
-// when expectPts >= 0, against the id count the hierarchy expects — the
-// checks an eager load runs at load time and a lazy one at fault time.
-func checkMember(idx DistanceIndex, kind Kind, expectPts int64) error {
+// checkMember validates a decoded member body against its manifest kind,
+// when expectPts >= 0 against the id count the hierarchy expects, and when
+// poiSites >= 0 (a coarse member) against the POI-site count the hierarchy
+// declares — the checks an eager load runs at load time and a lazy one at
+// fault time.
+func checkMember(idx DistanceIndex, kind Kind, expectPts, poiSites int64) error {
 	if _, nested := idx.(*ShardedIndex); nested {
 		return fmt.Errorf("member is itself a multi index (nesting unsupported)")
 	}
@@ -589,6 +591,15 @@ func checkMember(idx DistanceIndex, kind Kind, expectPts int64) error {
 	}
 	if got := idCount(idx); expectPts >= 0 && got != expectPts {
 		return fmt.Errorf("hierarchy expects %d points (POIs + portals), body holds %d", expectPts, got)
+	}
+	if poiSites >= 0 {
+		got := int64(0)
+		if so, ok := idx.(*SiteOracle); ok {
+			got = int64(so.npois)
+		}
+		if got != poiSites {
+			return fmt.Errorf("hierarchy declares %d POI sites for this coarse member, body indexes %d", poiSites, got)
+		}
 	}
 	return nil
 }
@@ -684,16 +695,19 @@ func decodeMulti(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex, []
 	// now, or a lazy member decoded on first touch. The hierarchy-less shape
 	// decodes lazy members once here too, to count them.
 	open := func(i int, payload []byte) (DistanceIndex, error) {
-		expectPts := int64(-1)
+		expectPts, poiSites := int64(-1), int64(-1)
 		if hasHier {
 			expectPts = hier.expectPts[i]
+			if hier.levels[i] > 0 {
+				poiSites = hier.npois[i]
+			}
 		}
 		if !cfg.lazy || !hasHier {
 			idx, err := loadMember(payload, cfg.keep, cfg.verify)
 			if err != nil {
 				return nil, err
 			}
-			if err := checkMember(idx, kinds[i], expectPts); err != nil {
+			if err := checkMember(idx, kinds[i], expectPts, poiSites); err != nil {
 				return nil, err
 			}
 			if !cfg.lazy {
@@ -705,9 +719,13 @@ func decodeMulti(secs map[uint32][]byte, cfg multiLoadConfig) (DistanceIndex, []
 		lm := &lazyMember{
 			rs: rs, ordinal: int32(i), name: byOrd[i].Name, kind: kinds[i],
 			payload: payload, keep: cfg.keep, npois: expectPts, expectPts: expectPts,
+			poiSites: poiSites,
 		}
 		if hasHier {
 			lm.npois = hier.npois[i]
+			if poiSites >= 0 {
+				lm.npois = 0 // a coarse member's POI sites are no ids of its own
+			}
 		}
 		rs.members = append(rs.members, lm)
 		return lm, nil
